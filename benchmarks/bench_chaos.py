@@ -29,9 +29,9 @@ import time
 
 from common import add_gate_arguments, run_gate, wall_regression, write_report
 
-from repro.chaos import run_comparison
+from repro.chaos import report_document, run_comparison
 from repro.chaos.__main__ import quick_spec
-from repro.chaos.report import report_json
+from repro.experiment import report_json
 
 
 def run_benchmark() -> dict:
@@ -39,7 +39,9 @@ def run_benchmark() -> dict:
     start = time.perf_counter()
     results = run_comparison(quick_spec())
     wall = time.perf_counter() - start
-    if report_json(run_comparison(quick_spec())) != report_json(results):
+    if report_json(report_document(run_comparison(quick_spec()))) != report_json(
+        report_document(results)
+    ):
         raise AssertionError(
             "repeated soak comparison produced a different report — "
             "seeded determinism is broken"

@@ -32,7 +32,8 @@ import time
 
 from common import add_gate_arguments, run_gate, wall_regression, write_report
 
-from repro.qos import QosSpec, check_invariants, report_json, run_qos
+from repro import experiment
+from repro.qos import QosSpec, check_invariants, run_qos
 
 #: Per-cell quantities that are fully determined by the seeds: any drift
 #: against the baseline is gated at zero tolerance.
@@ -70,7 +71,9 @@ def run_benchmark() -> dict:
         raise AssertionError(
             "qos trade-off invariants broken:\n" + "\n".join(violations)
         )
-    if report_json(run_qos(spec, executor="serial")) != report_json(full):
+    if experiment.report_json(run_qos(spec, executor="serial")) != experiment.report_json(
+        full
+    ):
         raise AssertionError(
             "repeated qos sweep produced a different report — "
             "seeded determinism is broken"
@@ -95,25 +98,12 @@ def run_benchmark() -> dict:
 
 def check_against_baseline(report: dict, baseline: dict, max_regression: float) -> list[str]:
     """Wall gate plus exact agreement on the schedule-shaped quantities."""
-    failures = wall_regression(
+    return wall_regression(
         report, baseline,
         key="sweep_wall_s", what="qos sweep",
         baseline_path="benchmarks/BENCH_qos_baseline.json",
         max_regression=max_regression,
-    )
-    for key, base_cell in baseline.get("cells", {}).items():
-        cell = report["cells"].get(key)
-        if cell is None:
-            failures.append(f"{key}: cell missing from the current sweep")
-            continue
-        for field in SCHEDULE_SHAPED:
-            if cell.get(field) != base_cell.get(field):
-                failures.append(
-                    f"{key}: {field} = {cell.get(field)!r} differs from the "
-                    f"baseline's {base_cell.get(field)!r} — seeded sweeps are "
-                    f"schedule-shaped, so this is a behavior change, not noise"
-                )
-    return failures
+    ) + experiment.check_against_baseline(report, baseline, exact=SCHEDULE_SHAPED)
 
 
 def main(argv: list[str] | None = None) -> int:

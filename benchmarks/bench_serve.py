@@ -27,9 +27,9 @@ import time
 
 from common import add_gate_arguments, run_gate, wall_regression, write_report
 
-from repro.serve import run_slo_comparison
+from repro.experiment import report_json
+from repro.serve import report_document, run_slo_comparison
 from repro.serve.__main__ import quick_spec
-from repro.serve.report import report_json
 from repro.serve.slo import SEGMENT_RECOVERY
 
 
@@ -43,7 +43,9 @@ def run_benchmark() -> dict:
     start = time.perf_counter()
     results = run_slo_comparison(quick_spec())
     wall = time.perf_counter() - start
-    if report_json(run_slo_comparison(quick_spec())) != report_json(results):
+    if report_json(report_document(run_slo_comparison(quick_spec()))) != report_json(
+        report_document(results)
+    ):
         raise AssertionError(
             "repeated serve comparison produced a different report — "
             "seeded determinism is broken"

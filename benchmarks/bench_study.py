@@ -37,7 +37,8 @@ from dataclasses import replace
 
 from common import add_gate_arguments, run_gate, wall_regression, write_report
 
-from repro.study import quick_spec, report_json, run_campaign
+from repro.experiment import report_json
+from repro.study import quick_spec, run_campaign
 
 EXECUTORS = ("serial", "thread", "process")
 

@@ -23,9 +23,11 @@ or recovering.  The layers:
 * :mod:`repro.chaos.metrics` — the reliability arithmetic: MTTF, MTBF, MTTR,
   availability and state fractions computed from the event log (the log
   round-trips through JSONL losslessly);
-* :mod:`repro.chaos.report` — JSON/markdown reports, the cross-config
-  comparison invariants and the baseline regression gate behind the
-  ``python -m repro.chaos`` CLI (:mod:`repro.chaos.__main__`).
+* :mod:`repro.chaos.report` — the report document, markdown tables, the
+  cross-config comparison invariants and the baseline gate's field lists
+  behind the ``python -m repro.chaos`` CLI (:mod:`repro.chaos.__main__`);
+  dispatch, the probe, the plan seed, the injected session and the gate
+  itself are the shared :mod:`repro.experiment` core.
 
 Everything is virtual-time deterministic: a seeded soak produces a
 byte-identical event log across re-runs *and* across the ``sim`` and ``proc``
@@ -36,10 +38,9 @@ offsets count the backend-portable completion stream.
 from repro.chaos.metrics import ChaosMetrics, compute_metrics, load_events, write_events
 from repro.chaos.monitor import ChaosMonitor, EpisodeMonitor, TransitionMonitor, make_monitor
 from repro.chaos.report import (
-    check_against_baseline,
     check_chaos_invariants,
     render_markdown,
-    report_json,
+    report_document,
 )
 from repro.chaos.scenarios import (
     CascadingFailures,
@@ -72,7 +73,6 @@ __all__ = [
     "FlakyRank",
     "SoakResult",
     "SoakSpec",
-    "check_against_baseline",
     "check_chaos_invariants",
     "compute_metrics",
     "load_events",
@@ -80,7 +80,7 @@ __all__ = [
     "make_monitor",
     "make_scenario",
     "render_markdown",
-    "report_json",
+    "report_document",
     "run_comparison",
     "run_soak",
     "scaled_cost_model",

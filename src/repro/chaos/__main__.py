@@ -26,14 +26,14 @@ fails.
 from __future__ import annotations
 
 import argparse
-import json
 
 from repro.chaos.metrics import write_events
 from repro.chaos.report import (
-    check_against_baseline,
+    BASELINE_EXACT,
+    BASELINE_RATIO,
     check_chaos_invariants,
     render_markdown,
-    report_json,
+    report_document,
 )
 from repro.chaos.soak import SoakSpec, run_comparison
 from repro.cli import (
@@ -45,12 +45,13 @@ from repro.cli import (
     trace_run,
     write_outputs,
 )
+from repro.experiment import report_json
 from repro.registry import available
 
 __all__ = ["main"]
 
 
-def quick_spec() -> SoakSpec:
+def quick_spec(seed: int = 2026) -> SoakSpec:
     """The seconds-long CI soak: small rounds, modest fault load."""
     return SoakSpec(
         workload="stencil",
@@ -58,7 +59,7 @@ def quick_spec() -> SoakSpec:
         rounds=4,
         interval=6,
         rate_per_round=0.75,
-        seed=2026,
+        seed=seed,
         workload_params={"n_local": 16, "iters": 24},
     )
 
@@ -128,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     if handle_list(args):
         return 0
     if args.quick:
-        base = quick_spec()
+        base = quick_spec(args.seed)
     else:
         base = SoakSpec(
             workload=args.workload,
@@ -152,20 +153,20 @@ def main(argv: list[str] | None = None) -> int:
             executor=args.executor,
         )
 
-    json_text = report_json(results)
+    json_text = report_json(report_document(results))
     write_outputs(args, render_markdown(results), json_text)
     if args.events:
         write_events(results[0].events, args.events)
         print(f"event log written to {args.events}")
     return run_gates(
         args,
+        json_text,
         check_invariants=lambda: check_chaos_invariants(results),
         invariants_message=(
             "invariants hold (replay MTTR < rollback; excise availability > both)"
         ),
-        check_baseline=lambda baseline, ratio: check_against_baseline(
-            json.loads(json_text), baseline, max_ratio=ratio
-        ),
+        exact=BASELINE_EXACT,
+        ratio=BASELINE_RATIO,
     )
 
 

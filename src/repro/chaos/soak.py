@@ -25,29 +25,20 @@ MTTR trade-off between the protocols quantitatively comparable cell by cell.
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from repro.api.policy import FaultTolerancePolicy, Topology
-from repro.api.session import launch
+from repro.api.policy import FaultTolerancePolicy
 from repro.chaos.metrics import ChaosMetrics, compute_metrics, write_events
 from repro.chaos.monitor import make_monitor
 from repro.chaos.scenarios import make_scenario
-from repro.errors import (
-    CatastrophicFailure,
-    ChaosError,
-    RecoveryError,
-)
-from repro.ft.inject import FaultInjector, KillPlan, install_injector
-from repro.registry import available, plural, register_kind, resolve_component
+from repro.errors import ChaosError
+from repro.experiment import Dispatcher, injected_session, plan_seed, probe, validate_names
+from repro.ft.inject import KillPlan
+from repro.registry import register_kind, resolve_component
 from repro.simulator.costs import CostModel, cray_xe6_like
 from repro.study.model import IntervalModel
-from repro.study.workloads import Workload, make_workload
-from repro.trace.tracer import Tracer, current_trace_hub, trace_label
+from repro.study.workloads import make_workload
 
 __all__ = [
     "Countermeasure",
@@ -59,7 +50,6 @@ __all__ = [
     "SoakSpec",
     "SoakResult",
     "scaled_cost_model",
-    "calibrate_round",
     "run_soak",
     "run_comparison",
 ]
@@ -204,22 +194,15 @@ class SoakSpec:
     workload_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for kind, name in (
-            ("workload", self.workload),
-            ("backend", self.backend),
-            ("store", self.store),
-            ("countermeasure", self.countermeasure),
-            ("delivery", self.delivery),
-            ("scenario", self.scenario),
-            ("monitor", self.monitor),
-        ):
-            known = available(kind)
-            if name not in known:
-                listing = ", ".join(repr(k) for k in known)
-                raise ChaosError(
-                    f"unknown {kind} {name!r} in soak spec; "
-                    f"registered {plural(kind)} are: {listing}"
-                )
+        validate_names("soak", ChaosError, {
+            "workload": self.workload,
+            "backend": self.backend,
+            "store": self.store,
+            "countermeasure": self.countermeasure,
+            "delivery": self.delivery,
+            "scenario": self.scenario,
+            "monitor": self.monitor,
+        })
         if self.rounds < 1:
             raise ChaosError("a soak needs at least one round")
         if not isinstance(self.interval, int) or self.interval < 1:
@@ -306,52 +289,18 @@ class SoakResult:
 
 
 # ----------------------------------------------------------------------
-# Calibration and plan generation
+# Plan generation
 # ----------------------------------------------------------------------
-def calibrate_round(
-    workload: Workload, *, procs_per_node: int, cost_model: CostModel
-) -> tuple[int, float]:
-    """One failure-free probe round: ``(ops_per_round, round_seconds)``.
-
-    The probe always runs on the ``sim`` backend: the completion stream is
-    contractually identical across backends and checkpoint/store traffic does
-    not pass through ``after_comm``, so the calibrated operation count holds
-    for every backend, store and countermeasure of a comparison — one probe
-    per workload serves the whole grid.
-    """
-    with launch(
-        workload.nprocs,
-        topology=Topology(procs_per_node=procs_per_node, cost_model=cost_model),
-        sync_each_step=workload.sync_each_step,
-        backend="sim",
-    ) as job:
-        workload.setup(job)
-        counter = FaultInjector(KillPlan([]))
-        job.runtime.add_interceptor(counter)
-        report = job.run(workload.kernel(), steps=workload.steps)
-    return counter.ops_seen, report.elapsed
-
-
-def _plan_seed(spec: SoakSpec) -> np.random.SeedSequence:
-    """Schedule entropy: seed + workload + scenario — nothing else.
-
-    Backend, store and countermeasure are deliberately excluded so that
-    comparison cells (and sim-vs-proc differential runs) draw the *same*
-    plan; the string axes enter as stable CRCs, not Python hashes, so the
-    entropy is identical across processes and machines.
-    """
-    return np.random.SeedSequence((
-        spec.seed,
-        zlib.crc32(spec.workload.encode()),
-        zlib.crc32(spec.scenario.encode()),
-    ))
-
-
 def build_plan(spec: SoakSpec, *, ops_per_round: int, steps_per_round: int) -> KillPlan:
-    """The spec's kill plan (pure function of spec + calibrated shape)."""
+    """The spec's kill plan (pure function of spec + calibrated shape).
+
+    Schedule entropy is seed + workload + scenario, nothing else: backend,
+    store and countermeasure are left out so comparison cells (and
+    sim-vs-proc differential runs) draw the *same* plan.
+    """
     scenario = make_scenario(spec.scenario, rate_per_round=spec.rate_per_round)
     return scenario.plan(
-        _plan_seed(spec),
+        plan_seed(spec.seed, spec.workload, spec.scenario),
         nprocs=spec.nprocs,
         ops_per_round=ops_per_round,
         steps_per_round=steps_per_round,
@@ -378,65 +327,47 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
         spec.workload, nprocs=spec.nprocs, **dict(spec.workload_params)
     )
     cost = scaled_cost_model(compression=spec.compression)
-    with trace_label(f"{spec.cell_key}/probe"):
-        ops_per_round, round_seconds = calibrate_round(
-            workload, procs_per_node=spec.procs_per_node, cost_model=cost
-        )
+    ops_per_round, round_seconds, _ = probe(
+        workload, label=f"{spec.cell_key}/probe",
+        procs_per_node=spec.procs_per_node, cost_model=cost,
+    )
     plan = build_plan(
         spec, ops_per_round=ops_per_round, steps_per_round=workload.steps
     )
     countermeasure = make_countermeasure(spec.countermeasure)
     monitor = make_monitor(spec.monitor)
     monitor.steps_per_round = workload.steps
-    total_steps = spec.rounds * workload.steps
 
-    aborted: str | None = None
-    digest: str | None = None
-    # The monitor consumes the trace event bus rather than registering its
-    # own observer/listener stack: one tracer instruments the job (joining
-    # the run-wide hub when an engine CLI's ``--trace`` activated one) and
-    # the monitor subscribes.  Timestamps are the same ``cluster.elapsed()``
-    # the direct hooks carried, so the chaos event stream is unchanged.
-    with trace_label(spec.cell_key):
-        hub = current_trace_hub()
-        tracer = hub.tracer() if hub is not None else Tracer(detail="lifecycle")
-    with launch(
-        spec.nprocs,
-        topology=Topology(procs_per_node=spec.procs_per_node, cost_model=cost),
-        ft=countermeasure.policy(
+    monitor.emit(
+        "soak_started", 0.0,
+        workload=spec.workload, backend=spec.backend, store=spec.store,
+        countermeasure=spec.countermeasure, scenario=spec.scenario,
+        rounds=spec.rounds, steps_per_round=workload.steps,
+        planned_kills=len(plan), compression=spec.compression,
+        seed=spec.seed, nprocs=spec.nprocs,
+    )
+    with injected_session(
+        workload, plan,
+        label=spec.cell_key,
+        policy=countermeasure.policy(
             store=spec.store, interval=spec.interval, delivery=spec.delivery
         ),
-        sync_each_step=workload.sync_each_step,
+        observer=monitor,
         backend=spec.backend,
+        procs_per_node=spec.procs_per_node,
+        cost_model=cost,
+        steps=spec.rounds * workload.steps,
         watchdog=spec.watchdog,
-        trace=tracer,
-    ) as job:
-        workload.setup(job)
+    ) as session:
+        job, report = session.job, session.report
         bytes_per_rank = sum(w.nbytes_per_rank for w in job.runtime.windows.all())
-        monitor.bind(job)
-        tracer.subscribe(monitor.consume)
-        monitor.emit(
-            "soak_started", 0.0,
-            workload=spec.workload, backend=spec.backend, store=spec.store,
-            countermeasure=spec.countermeasure, scenario=spec.scenario,
-            rounds=spec.rounds, steps_per_round=workload.steps,
-            planned_kills=len(plan), compression=spec.compression,
-            seed=spec.seed, nprocs=spec.nprocs,
-        )
-        injector = install_injector(job, plan)
-        try:
-            report = job.run(workload.kernel(), steps=total_steps)
-        except (RecoveryError, CatastrophicFailure) as exc:
-            aborted = type(exc).__name__
-            monitor.emit("soak_aborted", job.cluster.elapsed(), error=aborted)
-            report = job.report()
-        if aborted is None:
-            digest = workload.digest(workload.collect(job))
+        if session.aborted:
+            monitor.emit("soak_aborted", job.cluster.elapsed(), error=session.aborted)
         monitor.emit(
             "soak_completed", job.cluster.elapsed(),
             steps_executed=report.steps_executed,
-            kills_fired=len(injector.fired),
-            kills_skipped=len(injector.skipped),
+            kills_fired=len(session.injector.fired),
+            kills_skipped=len(session.injector.skipped),
         )
 
     metrics = compute_metrics(monitor.events)
@@ -477,8 +408,8 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
         excised_ranks=int(report.excised_ranks),
         steps_executed=int(report.steps_executed),
         elapsed_s=report.elapsed,
-        digest=digest,
-        aborted=aborted,
+        digest=session.digest,
+        aborted=session.aborted,
         predicted_mttr_s=predicted_mttr,
         predicted_availability=predicted_avail,
     )
@@ -512,9 +443,7 @@ def run_comparison(
         for s in stores
         for c in countermeasures
     ]
-    if executor == "serial":
-        return [run_soak(spec) for spec in specs]
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_soak, specs))
-    raise ChaosError(f"unknown executor {executor!r}; choose 'serial' or 'thread'")
+    with Dispatcher(
+        executor, max_workers, choices=("serial", "thread"), error=ChaosError
+    ) as pool:
+        return pool.map(run_soak, specs)

@@ -4,10 +4,11 @@ Four engines ship a ``python -m`` entry point — :mod:`repro.study`,
 :mod:`repro.chaos`, :mod:`repro.serve` and :mod:`repro.qos` — and they follow
 one contract: ``--list`` prints the component registry and exits, ``--quick``
 swaps in the engine's seconds-long CI configuration, ``--seed`` seeds every
-stochastic choice, and the report epilogue (markdown to stdout, optional JSON
-artifact, invariant gate, baseline gate) behaves identically everywhere.
-This module is that contract in one place; the per-engine ``__main__``
-modules only contribute their sweep axes and their gate functions.
+stochastic choice (the quick configuration included), and the report
+epilogue (markdown to stdout, optional JSON artifact, invariant gate,
+baseline gate) behaves identically everywhere.  This module is that
+contract in one place; the per-engine ``__main__`` modules only contribute
+their sweep axes, their invariants and their baseline field lists.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
+from repro.experiment import Field, check_against_baseline
 from repro.registry import render_available
 
 __all__ = [
@@ -50,7 +52,7 @@ def add_common_arguments(parser: argparse.ArgumentParser, *, default_seed: int) 
     parser.add_argument(
         "--quick", action="store_true",
         help="run the engine's seconds-long CI configuration "
-             "(overrides the sweep options)",
+             "(overrides the sweep options, but not --seed)",
     )
     parser.add_argument(
         "--seed", type=int, default=default_seed,
@@ -132,17 +134,20 @@ def write_outputs(args: argparse.Namespace, markdown: str, json_text: str) -> No
 
 def run_gates(
     args: argparse.Namespace,
+    json_text: str,
     *,
     check_invariants: Callable[[], list[str]],
     invariants_message: str,
-    check_baseline: Callable[[dict, float], list[str]],
+    exact: tuple[Field, ...],
+    ratio: tuple[Field, ...],
 ) -> int:
     """The shared gate epilogue; returns the process exit status.
 
-    ``check_invariants`` is called unless ``--skip-invariants``;
-    ``check_baseline(baseline_doc, max_ratio)`` is called when
-    ``--check-baseline`` names a file.  Violations go to stderr, prefixed
-    ``INVARIANT:`` / ``REGRESSION:`` — the strings CI greps for.
+    ``check_invariants`` is called unless ``--skip-invariants``.  When
+    ``--check-baseline`` names a file, the canonical report ``json_text`` is
+    gated against it by :func:`repro.experiment.check_against_baseline` on
+    the engine's ``exact`` and ``ratio`` fields.  Violations go to stderr,
+    prefixed ``INVARIANT:`` / ``REGRESSION:`` — the strings CI greps for.
     """
     status = 0
     if not args.skip_invariants:
@@ -156,7 +161,10 @@ def run_gates(
     if args.check_baseline:
         with open(args.check_baseline) as fh:
             baseline = json.load(fh)
-        failures = check_baseline(baseline, args.max_regression)
+        failures = check_against_baseline(
+            json.loads(json_text), baseline,
+            exact=exact, ratio=ratio, max_ratio=args.max_regression,
+        )
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:

@@ -33,10 +33,8 @@ _ENGINE_EXPORTS = {
     "QosSpec": "repro.qos.engine",
     "quick_spec": "repro.qos.engine",
     "run_qos": "repro.qos.engine",
-    "report_json": "repro.qos.engine",
     "check_invariants": "repro.qos.engine",
     "render_markdown": "repro.qos.report",
-    "check_against_baseline": "repro.qos.report",
 }
 
 
@@ -59,8 +57,6 @@ __all__ = [
     "QosSpec",
     "quick_spec",
     "run_qos",
-    "report_json",
     "check_invariants",
     "render_markdown",
-    "check_against_baseline",
 ]

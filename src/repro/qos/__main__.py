@@ -36,14 +36,9 @@ from repro.cli import (
     trace_run,
     write_outputs,
 )
-from repro.qos.engine import (
-    QosSpec,
-    check_invariants,
-    quick_spec,
-    report_json,
-    run_qos,
-)
-from repro.qos.report import check_against_baseline, render_markdown
+from repro.experiment import report_json
+from repro.qos.engine import QosSpec, check_invariants, quick_spec, run_qos
+from repro.qos.report import BASELINE_EXACT, BASELINE_RATIO, render_markdown
 
 __all__ = ["main"]
 
@@ -105,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     if handle_list(args):
         return 0
     if args.quick:
-        spec = quick_spec()
+        spec = quick_spec(args.seed)
     else:
         spec = QosSpec(
             workload=args.workload,
@@ -122,17 +117,18 @@ def main(argv: list[str] | None = None) -> int:
         )
     with trace_run(args):
         report = run_qos(spec, executor=args.executor, max_workers=args.jobs)
-    write_outputs(args, render_markdown(report), report_json(report))
+    json_text = report_json(report)
+    write_outputs(args, render_markdown(report), json_text)
     return run_gates(
         args,
+        json_text,
         check_invariants=lambda: check_invariants(report),
         invariants_message=(
             "invariants hold (reliable quality == 1.0; best-effort strictly "
             "faster; incremental < full; backends agree)"
         ),
-        check_baseline=lambda baseline, ratio: check_against_baseline(
-            report, baseline, max_ratio=ratio
-        ),
+        exact=BASELINE_EXACT,
+        ratio=BASELINE_RATIO,
     )
 
 

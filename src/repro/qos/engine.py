@@ -25,9 +25,7 @@ backends — gated by :func:`check_invariants`.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -35,10 +33,9 @@ import numpy as np
 
 from repro.api.policy import FaultTolerancePolicy
 from repro.errors import QosError
+from repro.experiment import Dispatcher, plan_seed, probe, validate_names
 from repro.ft.inject import KillPlan
 from repro.qos.delivery import BestEffort, QosMetrics
-from repro.registry import available, plural
-from repro.rma.actions import OpKind
 from repro.simulator.costs import cray_xe6_like
 from repro.study.workloads import Workload, make_workload
 from repro.trace.tracer import trace_label
@@ -47,7 +44,6 @@ __all__ = [
     "QosSpec",
     "quick_spec",
     "run_qos",
-    "report_json",
     "check_invariants",
 ]
 
@@ -105,20 +101,12 @@ class QosSpec:
         for axis in ("deliveries", "stores", "backends"):
             if not getattr(self, axis):
                 raise QosError(f"qos sweep axis {axis!r} is empty")
-        for kind, names in (
-            ("workload", (self.workload,)),
-            ("delivery", self.deliveries),
-            ("store", self.stores),
-            ("backend", self.backends),
-        ):
-            known = available(kind)
-            for name in names:
-                if name not in known:
-                    listing = ", ".join(repr(k) for k in known)
-                    raise QosError(
-                        f"unknown {kind} {name!r} in qos spec; registered "
-                        f"{plural(kind)} are: {listing}"
-                    )
+        validate_names("qos", QosError, {
+            "workload": self.workload,
+            "delivery": self.deliveries,
+            "store": self.stores,
+            "backend": self.backends,
+        })
         if self.kills < 1:
             raise QosError("a qos comparison needs at least one injected kill")
         if self.trials < 1:
@@ -131,7 +119,7 @@ class QosSpec:
             raise QosError("qos sweeps need nprocs >= 2 and procs_per_node >= 1")
 
 
-def quick_spec() -> QosSpec:
+def quick_spec(seed: int = 0) -> QosSpec:
     """The tiny CI sweep: sparse kv updates, 2 stores × 2 deliveries.
 
     Small enough to run in seconds, yet every gate is live: the kill lands
@@ -144,6 +132,7 @@ def quick_spec() -> QosSpec:
     return QosSpec(
         workload="kv",
         backends=backends,
+        seed=seed,
         trials=1,
         interval=3,
         workload_params={"slots": 16, "updates_per_step": 4, "steps": 12},
@@ -181,40 +170,19 @@ def _cost_model():
     return cray_xe6_like()
 
 
-#: Metric names that count completed *communication* operations — exactly the
-#: stream :class:`~repro.ft.inject.FaultInjector` indexes into.  Sync actions
-#: (locks, flushes, gsyncs) and byte bookkeeping also live under ``rma.`` but
-#: never pass through ``after_comm``, so they must not inflate the count.
-_OP_METRICS = frozenset(f"rma.{kind.value}" for kind in OpKind)
-
-
-def _completed_ops(report) -> int:
-    return int(
-        sum(
-            value
-            for name, value in report.metrics.totals.items()
-            if name in _OP_METRICS
-        )
-    )
-
-
-def _plan_seed(spec: QosSpec, trial: int) -> int:
-    """Per-trial kill-plan seed — a function of (master seed, trial) only, so
-    every cell of the sweep faces the identical plan."""
-    return int(np.random.SeedSequence((spec.seed, trial)).generate_state(1)[0])
-
-
 def _trial_plan(spec: QosSpec, trial: int, stream_ops: int) -> KillPlan:
     """The trial's kill plan, struck strictly mid-run.
 
     Offsets are drawn from the middle half of the failure-free completion
     stream: late enough that the phase-opening checkpoint committed, early
     enough that tolerated/recovered work remains in every delivery mode.
+    The seed is a function of (master seed, trial) only, so every cell of
+    the sweep faces the identical plan.
     """
     min_ops = max(2, stream_ops // 4)
     max_ops = max(min_ops + 2, stream_ops // 2)
     return KillPlan.seeded(
-        _plan_seed(spec, trial),
+        int(plan_seed(spec.seed, trial).generate_state(1)[0]),
         nprocs=spec.nprocs,
         max_ops=max_ops,
         kills=spec.kills,
@@ -226,23 +194,24 @@ def _run_reference(args: tuple[QosSpec, str]) -> dict:
     """The failure-free, unprotected reference run of one backend."""
     spec, backend = args
     workload = _build_workload(spec)
-    with trace_label(f"reference/{backend}"):
-        run = workload.run(
-            backend=backend,
-            procs_per_node=spec.procs_per_node,
-            cost_model=_cost_model(),
-        )
+    ops, elapsed, result = probe(
+        workload, label=f"reference/{backend}",
+        procs_per_node=spec.procs_per_node, cost_model=_cost_model(),
+        backend=backend,
+    )
     return {
-        "digest": run.digest,
-        "elapsed_s": run.report.elapsed,
-        "result": run.result,
-        "stream_ops": _completed_ops(run.report),
+        "digest": workload.digest(result),
+        "elapsed_s": elapsed,
+        "result": result,
+        "stream_ops": ops,
     }
 
 
-def _run_cell_trial(args: tuple[QosSpec, _Cell, int, int, np.ndarray]) -> dict:
+def _run_cell_trial(
+    group: tuple[QosSpec, _Cell, int, np.ndarray], trial: int
+) -> dict:
     """One (cell, trial) run against the trial's shared kill plan."""
-    spec, cell, trial, stream_ops, reference_result = args
+    spec, cell, stream_ops, reference_result = group
     workload = _build_workload(spec)
     plan = _trial_plan(spec, trial, stream_ops)
     if cell.delivery == "best_effort":
@@ -311,18 +280,6 @@ def _summarize_cell(cell: _Cell, trials: list[dict]) -> dict:
     return summary
 
 
-def _make_executor(executor: str, max_workers: int | None) -> Executor | None:
-    if executor == "serial":
-        return None
-    if executor == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers)
-    if executor == "process":
-        return ProcessPoolExecutor(max_workers=max_workers)
-    raise QosError(
-        f"unknown executor {executor!r}; choose 'serial', 'thread' or 'process'"
-    )
-
-
 def run_qos(
     spec: QosSpec,
     *,
@@ -335,30 +292,22 @@ def run_qos(
     ``"thread"`` and ``"process"`` executors produce byte-identical reports.
     """
     cells = _cells(spec)
-    pool = _make_executor(executor, max_workers)
-
-    def dispatch(fn, args_list):
-        if pool is None:
-            return [fn(args) for args in args_list]
-        return list(pool.map(fn, args_list))
-
-    try:
+    with Dispatcher(executor, max_workers, error=QosError) as pool:
         references = dict(zip(
             spec.backends,
-            dispatch(_run_reference, [(spec, b) for b in spec.backends]),
+            pool.map(_run_reference, [(spec, b) for b in spec.backends]),
         ))
         # The completion stream is contractually identical across backends;
         # using one backend's count for every plan keeps the plans shared.
         stream_ops = references[spec.backends[0]]["stream_ops"]
-        tasks = [
-            (spec, cell, trial, stream_ops, references[cell.backend]["result"])
-            for cell in cells
-            for trial in range(spec.trials)
-        ]
-        records = dispatch(_run_cell_trial, tasks)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        trials_by_cell = pool.map_trials(
+            _run_cell_trial,
+            [
+                (spec, cell, stream_ops, references[cell.backend]["result"])
+                for cell in cells
+            ],
+            spec.trials,
+        )
 
     report: dict = {
         "meta": {
@@ -386,15 +335,9 @@ def run_qos(
         },
         "cells": {},
     }
-    for idx, cell in enumerate(cells):
-        trials = records[idx * spec.trials : (idx + 1) * spec.trials]
+    for cell, trials in zip(cells, trials_by_cell):
         report["cells"][cell.key] = _summarize_cell(cell, trials)
     return report
-
-
-def report_json(report: dict) -> str:
-    """Canonical serialization — byte-identical across re-runs and executors."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -478,3 +421,4 @@ def check_invariants(report: dict) -> list[str]:
                         f"({ot['tolerated_ops']})"
                     )
     return failures
+

@@ -1,8 +1,8 @@
-"""Rendering and baseline gating for ``python -m repro.qos`` reports."""
+"""Rendering and baseline gate fields for ``python -m repro.qos`` reports."""
 
 from __future__ import annotations
 
-__all__ = ["render_markdown", "check_against_baseline"]
+__all__ = ["render_markdown", "BASELINE_EXACT", "BASELINE_RATIO"]
 
 
 def render_markdown(report: dict) -> str:
@@ -52,45 +52,12 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_against_baseline(
-    report: dict, baseline: dict, *, max_ratio: float = 2.0
-) -> list[str]:
-    """Regression gate against a checked-in baseline report; returns failures.
-
-    Deterministic outcomes — digests, qualities, tolerated-operation and
-    byte counts — must match exactly; the virtual makespan may drift but not
-    past ``max_ratio`` (the same tolerance pattern as the other engines).
-    """
-    failures: list[str] = []
-    for key, base in baseline.get("cells", {}).items():
-        current = report["cells"].get(key)
-        if current is None:
-            failures.append(f"{key}: cell missing from current report")
-            continue
-        for exact in (
-            "mean_quality", "min_quality", "recoveries", "repairs",
-            "tolerated_ops", "checkpoint_bytes",
-            "multilevel_moved_bytes", "multilevel_full_bytes",
-        ):
-            if current.get(exact) != base.get(exact):
-                failures.append(
-                    f"{key}: {exact} changed from {base.get(exact)!r} to "
-                    f"{current.get(exact)!r}"
-                )
-        cur_t, base_t = current.get("mean_elapsed_s"), base.get("mean_elapsed_s")
-        if (
-            cur_t is not None
-            and base_t is not None
-            and base_t > 0
-            and cur_t / base_t > max_ratio
-        ):
-            failures.append(
-                f"{key}: virtual makespan {cur_t:.6g}s is "
-                f"{cur_t / base_t:.2f}x the baseline's {base_t:.6g}s "
-                f"(allowed {max_ratio:.1f}x)"
-            )
-        cur_trials = [t.get("digest") for t in current.get("trials", [])]
-        base_trials = [t.get("digest") for t in base.get("trials", [])]
-        if cur_trials != base_trials:
-            failures.append(f"{key}: per-trial result digests changed")
-    return failures
+#: Baseline gate: digests, qualities, tolerated-operation and byte counts
+#: are seeded outcomes and must match exactly; the virtual makespan may
+#: drift within the tolerated ratio.
+BASELINE_EXACT = (
+    "mean_quality", "min_quality", "recoveries", "repairs", "tolerated_ops",
+    "checkpoint_bytes", "multilevel_moved_bytes", "multilevel_full_bytes",
+    ("trial digests", lambda cell: [t.get("digest") for t in cell.get("trials", [])]),
+)
+BASELINE_RATIO = ("mean_elapsed_s",)

@@ -24,10 +24,12 @@ traffic and asks what each recovery protocol does to the tail.  The layers:
 * :mod:`repro.serve.engine` — :class:`ServeSpec` and the drivers: the
   failure-free probe that anchors the arrival clock, the seeded kill plan
   shared by every cell, :func:`run_service` and :func:`run_slo_comparison`;
-* :mod:`repro.serve.report` — JSON/markdown reports, the canonical JSONL
-  request log, the comparison invariants (localized recovery-window p99
-  strictly below global's; degraded errs but stays flat) and the baseline
-  regression gate behind ``python -m repro.serve``.
+* :mod:`repro.serve.report` — the report document, markdown, the canonical
+  JSONL request log, the comparison invariants (localized recovery-window
+  p99 strictly below global's; degraded errs but stays flat) and the
+  baseline gate's field lists behind ``python -m repro.serve``; dispatch,
+  the probe, the plan seed, the injected session and the gate itself are
+  the shared :mod:`repro.experiment` core.
 
 Everything is virtual-time deterministic: a seeded comparison produces
 byte-identical request logs and SLO reports across re-runs, executors and
@@ -37,16 +39,14 @@ the ``sim``/``proc`` backends.
 from repro.serve.engine import (
     ServeResult,
     ServeSpec,
-    calibrate_service,
     run_service,
     run_slo_comparison,
 )
 from repro.serve.report import (
-    check_against_baseline,
     check_serve_invariants,
     load_requests,
     render_markdown,
-    report_json,
+    report_document,
     write_requests,
 )
 from repro.serve.service import (
@@ -76,12 +76,10 @@ __all__ = [
     "ShardMap",
     "WindowTracker",
     "build_slo_report",
-    "calibrate_service",
-    "check_against_baseline",
     "check_serve_invariants",
     "load_requests",
     "render_markdown",
-    "report_json",
+    "report_document",
     "run_service",
     "run_slo_comparison",
     "trace_lines",

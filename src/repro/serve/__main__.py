@@ -25,7 +25,6 @@ fails.
 from __future__ import annotations
 
 import argparse
-import json
 
 from repro.cli import (
     add_common_arguments,
@@ -36,20 +35,22 @@ from repro.cli import (
     trace_run,
     write_outputs,
 )
+from repro.experiment import report_json
 from repro.registry import available
 from repro.serve.engine import ServeSpec, run_slo_comparison
 from repro.serve.report import (
-    check_against_baseline,
+    BASELINE_EXACT,
+    BASELINE_RATIO,
     check_serve_invariants,
     render_markdown,
-    report_json,
+    report_document,
     write_requests,
 )
 
 __all__ = ["main"]
 
 
-def quick_spec() -> ServeSpec:
+def quick_spec(seed: int = 2026) -> ServeSpec:
     """The seconds-long CI serving cell: short run, modest key space."""
     return ServeSpec(
         steps=24,
@@ -57,7 +58,7 @@ def quick_spec() -> ServeSpec:
         slots=32,
         key_space=256,
         interval=8,
-        seed=2026,
+        seed=seed,
     )
 
 
@@ -137,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     if handle_list(args):
         return 0
     if args.quick:
-        base = quick_spec()
+        base = quick_spec(args.seed)
     else:
         base = ServeSpec(
             delivery=args.delivery,
@@ -164,21 +165,21 @@ def main(argv: list[str] | None = None) -> int:
             executor=args.executor,
         )
 
-    json_text = report_json(results)
+    json_text = report_json(report_document(results))
     write_outputs(args, render_markdown(results), json_text)
     if args.requests:
         count = write_requests(results, args.requests)
         print(f"{count} request rows written to {args.requests}")
     return run_gates(
         args,
+        json_text,
         check_invariants=lambda: check_serve_invariants(results),
         invariants_message=(
             "invariants hold (localized recovery p99 < global; "
             "degraded errs but stays flat)"
         ),
-        check_baseline=lambda baseline, ratio: check_against_baseline(
-            json.loads(json_text), baseline, max_ratio=ratio
-        ),
+        exact=BASELINE_EXACT,
+        ratio=BASELINE_RATIO,
     )
 
 

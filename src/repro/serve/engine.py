@@ -1,14 +1,15 @@
-"""The serving engine: spec, calibration probe, driver and comparison grid.
+"""The serving engine: spec, driver and comparison grid.
 
 One :class:`ServeSpec` describes one cell: the service's traffic parameters
 (shared by every cell of a comparison), the resilience configuration
 (``store`` × ``recovery``), the execution ``backend`` and the kill plan
 shape.  :func:`run_service` executes a cell:
 
-1. **probe** — a failure-free, FT-free run on the ``sim`` backend measures
-   the completion-stream length (kill offsets are stream positions, so one
-   probe calibrates every backend alike) and the failure-free makespan that
-   anchors the open-loop **arrival clock**: request ``r`` arrives at
+1. **probe** — a failure-free, FT-free run on the ``sim`` backend
+   (:func:`repro.experiment.probe`) measures the completion-stream length
+   (kill offsets are stream positions, so one probe calibrates every
+   backend alike) and the failure-free makespan that anchors the open-loop
+   **arrival clock**: request ``r`` arrives at
    ``r.frac × probe_makespan``, an instant that never reacts to checkpoints
    or outages — that independence is what makes queueing delay visible;
 2. **serve** — the real run under the declared
@@ -28,25 +29,21 @@ every key, degraded trades errors for flatness" a like-for-like claim.
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.api.policy import FaultTolerancePolicy, Topology
-from repro.api.session import launch
+from repro.api.policy import FaultTolerancePolicy
 from repro.chaos.soak import scaled_cost_model
-from repro.errors import CatastrophicFailure, RecoveryError, ServeError
-from repro.ft.inject import FaultInjector, KillEvent, KillKind, KillPlan, install_injector
-from repro.registry import available, plural
+from repro.errors import ServeError
+from repro.experiment import Dispatcher, injected_session, plan_seed, probe, validate_names
+from repro.ft.inject import KillEvent, KillKind, KillPlan
 from repro.serve.service import STATUS_UNSERVED, KvService
 from repro.serve.slo import WindowTracker, build_slo_report
 from repro.study.workloads import make_workload
-from repro.trace.tracer import Tracer, current_trace_hub, trace_label
 
-__all__ = ["ServeSpec", "ServeResult", "calibrate_service", "run_service", "run_slo_comparison"]
+__all__ = ["ServeSpec", "ServeResult", "run_service", "run_slo_comparison"]
 
 
 @dataclass(frozen=True)
@@ -91,19 +88,12 @@ class ServeSpec:
     service_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for kind, name in (
-            ("backend", self.backend),
-            ("store", self.store),
-            ("recovery", self.recovery),
-            ("delivery", self.delivery),
-        ):
-            known = available(kind)
-            if name not in known:
-                listing = ", ".join(repr(k) for k in known)
-                raise ServeError(
-                    f"unknown {kind} {name!r} in serve spec; "
-                    f"registered {plural(kind)} are: {listing}"
-                )
+        validate_names("serve", ServeError, {
+            "backend": self.backend,
+            "store": self.store,
+            "recovery": self.recovery,
+            "delivery": self.delivery,
+        })
         if self.kill_kind not in (k.value for k in KillKind):
             choices = ", ".join(repr(k.value) for k in KillKind)
             raise ServeError(
@@ -224,46 +214,18 @@ class ServeResult:
 
 
 # ----------------------------------------------------------------------
-# Calibration and plan generation
+# Plan generation
 # ----------------------------------------------------------------------
-def calibrate_service(service: KvService, spec: ServeSpec) -> tuple[int, float]:
-    """Failure-free probe: ``(completion-stream ops, makespan seconds)``.
-
-    Always on the ``sim`` backend and without fault tolerance: the
-    completion stream is contractually identical across backends, and the
-    probe's makespan is the *client's* failure-free timeline — the arrival
-    clock must not include checkpoint overhead, or arrivals would slow down
-    with the protocol under test and the comparison would stop being
-    open-loop.
-    """
-    cost = scaled_cost_model(compression=spec.compression)
-    with launch(
-        service.nprocs,
-        topology=Topology(procs_per_node=spec.procs_per_node, cost_model=cost),
-        sync_each_step=service.sync_each_step,
-        backend="sim",
-    ) as job:
-        service.setup(job)
-        counter = FaultInjector(KillPlan([]))
-        job.runtime.add_interceptor(counter)
-        report = job.run(service.kernel(), steps=service.steps)
-    return counter.ops_seen, report.elapsed
-
-
-def _plan_seed(spec: ServeSpec) -> np.random.SeedSequence:
-    """Plan entropy: seed + a stable domain tag — no comparison axes.
-
-    Backend, store and recovery are deliberately excluded so every cell of a
-    comparison faces the identical failure schedule.
-    """
-    return np.random.SeedSequence((spec.seed, zlib.crc32(b"serve.plan")))
-
-
 def build_plan(spec: ServeSpec, *, ops_total: int) -> KillPlan:
-    """The spec's kill plan (pure function of spec + calibrated stream length)."""
+    """The spec's kill plan (pure function of spec + calibrated stream length).
+
+    Plan entropy is the seed plus a stable domain tag: backend, store and
+    recovery are left out so every cell of a comparison faces the identical
+    failure schedule.
+    """
     if spec.kills == 0:
         return KillPlan([])
-    rng = np.random.default_rng(_plan_seed(spec))
+    rng = np.random.default_rng(plan_seed(spec.seed, "serve.plan"))
     if spec.kills == 1:
         fracs = [spec.kill_frac]
     else:
@@ -287,44 +249,32 @@ def run_service(spec: ServeSpec) -> ServeResult:
     """Run one serving cell to completion and reduce it to its SLO report."""
     service = spec.service()
     cost = scaled_cost_model(compression=spec.compression)
-    with trace_label(f"{spec.cell_key}/probe"):
-        probe_ops, probe_elapsed = calibrate_service(service, spec)
+    # The client's failure-free timeline: the arrival clock must not include
+    # checkpoint overhead, or arrivals would slow down with the protocol
+    # under test and the comparison would stop being open-loop.
+    probe_ops, probe_elapsed, _ = probe(
+        service, label=f"{spec.cell_key}/probe",
+        procs_per_node=spec.procs_per_node, cost_model=cost,
+    )
     plan = build_plan(spec, ops_total=probe_ops)
 
-    # The tracker consumes the trace event bus rather than registering its
-    # own observer/listener stack (same timestamps, one instrumentation
-    # source); a run-wide hub — an engine CLI's ``--trace`` — collects the
-    # tracer into the merged trace under this cell's label.
     tracker = WindowTracker()
-    aborted: str | None = None
-    digest: str | None = None
-    with trace_label(spec.cell_key):
-        hub = current_trace_hub()
-        tracer = hub.tracer() if hub is not None else Tracer(detail="lifecycle")
-    with launch(
-        spec.nprocs,
-        topology=Topology(procs_per_node=spec.procs_per_node, cost_model=cost),
-        ft=FaultTolerancePolicy(
+    with injected_session(
+        service, plan,
+        label=spec.cell_key,
+        policy=FaultTolerancePolicy(
             interval=spec.interval, store=spec.store, recovery=spec.recovery,
             delivery=spec.delivery,
         ),
-        sync_each_step=service.sync_each_step,
+        observer=tracker,
         backend=spec.backend,
+        procs_per_node=spec.procs_per_node,
+        cost_model=cost,
+        steps=service.steps,
         watchdog=spec.watchdog,
-        trace=tracer,
-    ) as job:
-        service.setup(job)
-        tracker.bind(job)
-        tracer.subscribe(tracker.consume)
-        injector = install_injector(job, plan)
-        try:
-            report = job.run(service.kernel(), steps=service.steps)
-        except (RecoveryError, CatastrophicFailure) as exc:
-            aborted = type(exc).__name__
-            report = job.report()
-        tracker.finish(job.cluster.elapsed())
-        if aborted is None:
-            digest = service.digest(service.collect(job))
+    ) as session:
+        tracker.finish(session.job.cluster.elapsed())
+    tracer, report = session.tracer, session.report
 
     rows = _assemble_rows(service, probe_elapsed, tracker)
     # Request lifecycles join the trace once the rows are reduced: arrival
@@ -355,8 +305,8 @@ def run_service(spec: ServeSpec) -> ServeResult:
         excised_ranks=int(report.excised_ranks),
         steps_executed=int(report.steps_executed),
         elapsed_s=report.elapsed,
-        digest=digest,
-        aborted=aborted,
+        digest=session.digest,
+        aborted=session.aborted,
     )
 
 
@@ -430,9 +380,7 @@ def run_slo_comparison(
         for s in stores
         for r in recoveries
     ]
-    if executor == "serial":
-        return [run_service(spec) for spec in specs]
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_service, specs))
-    raise ServeError(f"unknown executor {executor!r}; choose 'serial' or 'thread'")
+    with Dispatcher(
+        executor, max_workers, choices=("serial", "thread"), error=ServeError
+    ) as pool:
+        return pool.map(run_service, specs)

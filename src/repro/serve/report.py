@@ -10,8 +10,9 @@ show, on identical seeds and kill plans: a **localized replay** stalls only
 the failed shard's requests (its recovery-window p99 stays strictly below a
 **global rollback**'s, which re-executes — and re-prices — every key), while
 a **degraded continuation** keeps latency flat at the cost of a measurable
-error rate.  :func:`check_against_baseline` is the CI regression gate, and
-:func:`write_requests` / :func:`load_requests` carry the canonical JSONL
+error rate.  :data:`BASELINE_EXACT` and :data:`BASELINE_RATIO` are the
+fields of the CI regression gate (:func:`repro.experiment.check_against_baseline`),
+and :func:`write_requests` / :func:`load_requests` carry the canonical JSONL
 request log whose schema CI validates.
 """
 
@@ -26,10 +27,11 @@ from repro.serve.slo import SEGMENT_RECOVERY, SEGMENT_STEADY, SEGMENTS
 from repro.serve.traffic import READ, WRITE
 
 __all__ = [
-    "report_json",
+    "report_document",
     "render_markdown",
     "check_serve_invariants",
-    "check_against_baseline",
+    "BASELINE_EXACT",
+    "BASELINE_RATIO",
     "write_requests",
     "load_requests",
     "validate_request_row",
@@ -51,8 +53,9 @@ REQUEST_FIELDS = (
 )
 
 
-def report_json(results: list[ServeResult]) -> str:
-    """Canonical serialization — byte-identical across re-runs and executors.
+def report_document(results: list[ServeResult]) -> dict:
+    """The comparison as one report document (serialize with
+    :func:`repro.experiment.report_json`).
 
     The per-request rows travel separately (:func:`write_requests`); the
     report keeps the reduced SLO document plus a status census per cell.
@@ -67,11 +70,10 @@ def report_json(results: list[ServeResult]) -> str:
         cell["request_count"] = len(rows)
         cell["status_counts"] = dict(sorted(census.items()))
         cells[result.spec.cell_key] = cell
-    document = {
+    return {
         "meta": {"engine": "repro.serve", "cells": len(results)},
         "cells": cells,
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -286,55 +288,14 @@ def check_serve_invariants(results: list[ServeResult]) -> list[str]:
     return violations
 
 
-def check_against_baseline(
-    report: dict, baseline: dict, *, max_ratio: float = 2.0
-) -> list[str]:
-    """Regression gate against a checked-in baseline report; returns failures.
-
-    Everything in a serving run is virtual-time deterministic, so the
-    schedule-shaped quantities (request census, kill plan, recovery counts)
-    must match **exactly**; the latency outcomes are gated by ratio — a
-    segment's p99 may not exceed ``max_ratio`` × the baseline's — so a
-    protocol regression fails CI while legitimate cost-model retuning only
-    shifts within the band.
-    """
-    failures: list[str] = []
-    for key, base in baseline.get("cells", {}).items():
-        current = report["cells"].get(key)
-        if current is None:
-            failures.append(f"{key}: cell missing from current report")
-            continue
-        for exact in (
-            "request_count",
-            "status_counts",
-            "plan",
-            "checkpoints",
-            "recoveries",
-            "excised_ranks",
-            "aborted",
-            "probe_ops",
-        ):
-            if current.get(exact) != base.get(exact):
-                failures.append(
-                    f"{key}: {exact} changed from {base.get(exact)!r} to "
-                    f"{current.get(exact)!r}"
-                )
-        for segment in (*SEGMENTS, "overall"):
-            base_lat = base["slo"][segment]["latency_ms"]
-            cur_lat = current["slo"][segment]["latency_ms"]
-            if (base_lat is None) != (cur_lat is None):
-                failures.append(
-                    f"{key}: {segment} latency presence changed "
-                    f"({base_lat!r} -> {cur_lat!r})"
-                )
-                continue
-            if base_lat is None:
-                continue
-            base_p99, cur_p99 = base_lat["p99"], cur_lat["p99"]
-            if base_p99 > 0 and cur_p99 / base_p99 > max_ratio:
-                failures.append(
-                    f"{key}: {segment} p99 {cur_p99:.3f}ms is "
-                    f"{cur_p99 / base_p99:.2f}x the baseline's {base_p99:.3f}ms "
-                    f"(allowed {max_ratio:.1f}x)"
-                )
-    return failures
+#: Baseline gate: everything in a serving run is virtual-time deterministic,
+#: so the schedule-shaped quantities (request census, kill plan, recovery
+#: counts) must match exactly; each segment's p99 may drift within the
+#: tolerated ratio, and a segment gaining or losing its latency sample fails.
+BASELINE_EXACT = (
+    "request_count", "status_counts", "plan", "checkpoints", "recoveries",
+    "excised_ranks", "aborted", "probe_ops",
+)
+BASELINE_RATIO = tuple(
+    f"slo.{segment}.latency_ms.p99" for segment in (*SEGMENTS, "overall")
+)

@@ -13,7 +13,8 @@ protocols under the :mod:`repro.api` session) into an *experiment engine*:
 * :mod:`~repro.study.campaign` — the seeded Monte-Carlo campaign runner
   sweeping ``{workload × backend × store × recovery × failure rate ×
   interval}`` over independently-seeded stochastic fault loads, concurrent
-  via :mod:`concurrent.futures` yet byte-identical in its JSON report.
+  via :class:`repro.experiment.Dispatcher` yet byte-identical in its JSON
+  report.
 
 Run one from the command line::
 
@@ -22,11 +23,9 @@ Run one from the command line::
 
 from repro.study.campaign import (
     CampaignSpec,
-    check_against_baseline,
     check_invariants,
     quick_spec,
     render_markdown,
-    report_json,
     run_campaign,
 )
 from repro.study.model import (
@@ -51,10 +50,8 @@ from repro.study.workloads import (
 __all__ = [
     "CampaignSpec",
     "run_campaign",
-    "report_json",
     "render_markdown",
     "check_invariants",
-    "check_against_baseline",
     "quick_spec",
     "IntervalModel",
     "checkpoint_seconds",

@@ -34,14 +34,15 @@ from repro.cli import (
     trace_run,
     write_outputs,
 )
+from repro.experiment import report_json
 from repro.registry import available
 from repro.study.campaign import (
+    BASELINE_EXACT,
+    BASELINE_RATIO,
     CampaignSpec,
-    check_against_baseline,
     check_invariants,
     quick_spec,
     render_markdown,
-    report_json,
     run_campaign,
 )
 
@@ -115,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     if handle_list(args):
         return 0
     if args.quick:
-        spec = quick_spec()
+        spec = quick_spec(args.seed)
     else:
         spec = CampaignSpec(
             workloads=args.workloads,
@@ -132,16 +133,17 @@ def main(argv: list[str] | None = None) -> int:
         )
     with trace_run(args):
         report = run_campaign(spec, executor=args.executor, max_workers=args.jobs)
-    write_outputs(args, render_markdown(report), report_json(report))
+    json_text = report_json(report)
+    write_outputs(args, render_markdown(report), json_text)
     return run_gates(
         args,
+        json_text,
         check_invariants=lambda: check_invariants(report),
         invariants_message=(
             "invariants hold (localized < global restored bytes; auto within 2x)"
         ),
-        check_baseline=lambda baseline, ratio: check_against_baseline(
-            report, baseline, max_ratio=ratio
-        ),
+        exact=BASELINE_EXACT,
+        ratio=BASELINE_RATIO,
     )
 
 

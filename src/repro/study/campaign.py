@@ -14,29 +14,26 @@ pure function of ``(campaign seed, cell coordinates, trial index)`` — the
 *recovery* coordinate deliberately excluded, so ``global`` and ``localized``
 cells face identical fault loads and their restored-bytes can be compared
 trial by trial — and each trial runs its own single-threaded, virtual-time
-session.  Trials therefore parallelize embarrassingly over a
-:mod:`concurrent.futures` executor while the resulting JSON report stays
+session.  Trials therefore parallelize embarrassingly over the shared
+:class:`~repro.experiment.Dispatcher` while the resulting JSON report stays
 **byte-identical** to a serial run (results are assembled in sweep order and
 contain no wall-clock).
 
 Entry points: :func:`run_campaign`, :func:`render_markdown`,
-:func:`check_invariants`, :func:`check_against_baseline`, and the
-``python -m repro.study`` CLI (:mod:`repro.study.__main__`).
+:func:`check_invariants`, the baseline field lists :data:`BASELINE_EXACT` /
+:data:`BASELINE_RATIO`, and the ``python -m repro.study`` CLI
+(:mod:`repro.study.__main__`).
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
-import numpy as np
-
 from repro.api.policy import FaultTolerancePolicy
 from repro.errors import CampaignError, FaultToleranceError, ProcessFailedError
-from repro.registry import available, plural
+from repro.experiment import Dispatcher, plan_seed, validate_names
 from repro.simulator.costs import cray_xe6_like
 from repro.simulator.failures import exponential_schedule
 from repro.study.model import IntervalModel
@@ -46,10 +43,10 @@ from repro.trace.tracer import trace_label
 __all__ = [
     "CampaignSpec",
     "run_campaign",
-    "report_json",
     "render_markdown",
     "check_invariants",
-    "check_against_baseline",
+    "BASELINE_EXACT",
+    "BASELINE_RATIO",
     "quick_spec",
 ]
 
@@ -102,21 +99,13 @@ class CampaignSpec:
                      "mean_failures", "intervals"):
             if not getattr(self, axis):
                 raise CampaignError(f"campaign sweep axis {axis!r} is empty")
-        for kind, names in (
-            ("workload", self.workloads),
-            ("backend", self.backends),
-            ("store", self.stores),
-            ("recovery", self.recoveries),
-            ("delivery", (self.delivery,)),
-        ):
-            known = available(kind)
-            for name in names:
-                if name not in known:
-                    listing = ", ".join(repr(k) for k in known)
-                    raise CampaignError(
-                        f"unknown {kind} {name!r} in campaign spec; "
-                        f"registered {plural(kind)} are: {listing}"
-                    )
+        validate_names("campaign", CampaignError, {
+            "workload": self.workloads,
+            "backend": self.backends,
+            "store": self.stores,
+            "recovery": self.recoveries,
+            "delivery": self.delivery,
+        })
         for interval in self.intervals:
             if isinstance(interval, str):
                 if interval != "auto":
@@ -178,12 +167,11 @@ def _trial_seed(spec: CampaignSpec, cell: _Cell, trial: int) -> int:
     """Deterministic per-trial schedule seed.
 
     Derived from the campaign seed, the cell's axis coordinates and the trial
-    index through a :class:`numpy.random.SeedSequence`, so trials are
+    index through :func:`~repro.experiment.plan_seed`, so trials are
     independent streams.  The recovery axis is *not* part of the entropy:
     paired ``global``/``localized`` cells draw identical schedules.
     """
-    entropy = (spec.seed, *cell.coords, trial)
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    return int(plan_seed(spec.seed, *cell.coords, trial).generate_state(1)[0])
 
 
 def _build_workload(spec: CampaignSpec, name: str) -> Workload:
@@ -274,9 +262,9 @@ def _run_ft_free(args: tuple[CampaignSpec, _Cell, dict]) -> dict:
     }
 
 
-def _run_trial(args: tuple[CampaignSpec, _Cell, dict, int]) -> dict:
+def _run_trial(group: tuple[CampaignSpec, _Cell, dict], trial: int) -> dict:
     """One stochastic trial of one cell, under its own seeded fault load."""
-    spec, cell, baseline, trial = args
+    spec, cell, baseline = group
     workload = _build_workload(spec, cell.workload)
     rates = {int(k): v for k, v in baseline["rates_per_level"].items()}
     schedule = exponential_schedule(
@@ -324,39 +312,6 @@ def _run_trial(args: tuple[CampaignSpec, _Cell, dict, int]) -> dict:
         resolved_interval=run.resolved_interval,
     )
     return record
-
-
-def _run_trial_batch(args: tuple[CampaignSpec, _Cell, dict, int, int]) -> list[dict]:
-    """Run a contiguous range of one cell's trials; return their records.
-
-    Batching is what makes the process executor worth having: the
-    ``(spec, cell, baseline)`` payload crosses the process boundary once per
-    chunk instead of once per trial, and only the compact per-trial record
-    dicts travel back.  Trials inside a chunk run in submission order, so the
-    flattened result is byte-identical to the serial sweep.
-    """
-    spec, cell, baseline, start, stop = args
-    return [_run_trial((spec, cell, baseline, trial)) for trial in range(start, stop)]
-
-
-def _trial_batches(
-    spec: CampaignSpec, cells: list[_Cell], baselines: list[dict], workers: int
-) -> list[tuple[CampaignSpec, _Cell, dict, int, int]]:
-    """Chunk every cell's trials into contiguous per-worker batches.
-
-    One batch per cell is enough when there are at least as many cells as
-    workers; with a wide pool and few cells each cell is split further so no
-    worker sits idle.  Chunk boundaries never affect results — only how the
-    identical trial sequence is sliced across dispatches.
-    """
-    cells_n = max(1, len(cells))
-    chunks_per_cell = max(1, min(spec.trials, -(-workers // cells_n)))
-    chunk = -(-spec.trials // chunks_per_cell)
-    return [
-        (spec, cell, baseline, start, min(start + chunk, spec.trials))
-        for cell, baseline in zip(cells, baselines)
-        for start in range(0, spec.trials, chunk)
-    ]
 
 
 def _summarize_cell(
@@ -418,18 +373,6 @@ def _summarize_cell(
     return summary
 
 
-def _make_executor(executor: str, max_workers: int | None) -> Executor | None:
-    if executor == "serial":
-        return None
-    if executor == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers)
-    if executor == "process":
-        return ProcessPoolExecutor(max_workers=max_workers)
-    raise CampaignError(
-        f"unknown executor {executor!r}; choose 'serial', 'thread' or 'process'"
-    )
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -442,19 +385,9 @@ def run_campaign(
     ``"serial"``, ``"thread"`` (default) or ``"process"`` — each trial is an
     isolated deterministic session, so the three produce **byte-identical**
     reports (``benchmarks/bench_study.py`` measures the wall-clock gap).
-    Trials are submitted as contiguous per-cell chunks rather than one task
-    per trial, so the process pool pickles each cell's payload once per chunk
-    and receives only compact record dicts back.
     """
     cells = _cells(spec)
-    pool = _make_executor(executor, max_workers)
-
-    def dispatch(fn, args_list):
-        if pool is None:
-            return [fn(args) for args in args_list]
-        return list(pool.map(fn, args_list))
-
-    try:
+    with Dispatcher(executor, max_workers, error=CampaignError) as pool:
         # Shared reference runs are computed once per *group*, not per cell:
         # the unprotected base depends only on (workload, backend), the
         # protected failure-free run additionally on store/rate/interval but
@@ -464,14 +397,14 @@ def run_campaign(
             base_groups.setdefault(_base_key(cell), cell)
         bases = dict(zip(
             base_groups,
-            dispatch(_run_base, [(spec, cell) for cell in base_groups.values()]),
+            pool.map(_run_base, [(spec, cell) for cell in base_groups.values()]),
         ))
         ff_groups: dict[tuple, _Cell] = {}
         for cell in cells:
             ff_groups.setdefault(_ft_free_key(cell), cell)
         baselines_by_key = dict(zip(
             ff_groups,
-            dispatch(
+            pool.map(
                 _run_ft_free,
                 [
                     (spec, cell, bases[_base_key(cell)])
@@ -480,17 +413,11 @@ def run_campaign(
             ),
         ))
         baselines = [baselines_by_key[_ft_free_key(cell)] for cell in cells]
-        workers = 1 if pool is None else (getattr(pool, "_max_workers", None) or 1)
-        trial_records = [
-            record
-            for batch in dispatch(
-                _run_trial_batch, _trial_batches(spec, cells, baselines, workers)
-            )
-            for record in batch
-        ]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        trials_by_cell = pool.map_trials(
+            _run_trial,
+            [(spec, cell, baseline) for cell, baseline in zip(cells, baselines)],
+            spec.trials,
+        )
     report: dict = {
         "meta": {
             "engine": "repro.study",
@@ -508,15 +435,9 @@ def run_campaign(
         },
         "cells": {},
     }
-    for idx, (cell, baseline) in enumerate(zip(cells, baselines)):
-        trials = trial_records[idx * spec.trials : (idx + 1) * spec.trials]
+    for cell, baseline, trials in zip(cells, baselines, trials_by_cell):
         report["cells"][cell.key] = _summarize_cell(spec, cell, baseline, trials)
     return report
-
-
-def report_json(report: dict) -> str:
-    """Canonical serialization — byte-identical across re-runs and executors."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -640,47 +561,17 @@ def check_invariants(report: dict) -> list[str]:
     return failures
 
 
-def check_against_baseline(
-    report: dict, baseline: dict, *, max_ratio: float = 2.0
-) -> list[str]:
-    """Regression gate against a checked-in baseline report; returns failures.
-
-    Deterministic integer outcomes (survival, recoveries, byte counts) must
-    match exactly; measured overheads may drift but not regress past
-    ``max_ratio`` — the same tolerance pattern as the ``bench_rma`` /
-    ``bench_ft`` wall-clock gates.
-    """
-    failures: list[str] = []
-    for key, base in baseline.get("cells", {}).items():
-        current = report["cells"].get(key)
-        if current is None:
-            failures.append(f"{key}: cell missing from current report")
-            continue
-        for exact in ("survival_rate", "bit_identical_rate", "recoveries",
-                      "mean_checkpoint_bytes", "mean_restored_bytes"):
-            if current.get(exact) != base.get(exact):
-                failures.append(
-                    f"{key}: {exact} changed from {base.get(exact)!r} to "
-                    f"{current.get(exact)!r}"
-                )
-        cur_ov, base_ov = current.get("mean_measured_overhead"), base.get(
-            "mean_measured_overhead"
-        )
-        if (
-            cur_ov is not None
-            and base_ov is not None
-            and base_ov > 0
-            and cur_ov / base_ov > max_ratio
-        ):
-            failures.append(
-                f"{key}: measured overhead {cur_ov:.4f} is "
-                f"{cur_ov / base_ov:.2f}x the baseline's {base_ov:.4f} "
-                f"(allowed {max_ratio:.1f}x)"
-            )
-    return failures
+#: Baseline gate (:func:`repro.experiment.check_against_baseline`):
+#: deterministic outcomes must match exactly; the measured overhead may
+#: drift, but not past the tolerated ratio.
+BASELINE_EXACT = (
+    "survival_rate", "bit_identical_rate", "recoveries",
+    "mean_checkpoint_bytes", "mean_restored_bytes",
+)
+BASELINE_RATIO = ("mean_measured_overhead",)
 
 
-def quick_spec() -> CampaignSpec:
+def quick_spec(seed: int = 0) -> CampaignSpec:
     """The tiny CI campaign: 2 workloads × 2 protocols × 4 seeded trials.
 
     Small sizes keep the smoke run in seconds while still exercising
@@ -695,6 +586,6 @@ def quick_spec() -> CampaignSpec:
         mean_failures=(2.0,),
         intervals=("auto", 4, 12),
         trials=4,
-        seed=0,
+        seed=seed,
         workload_params={"stencil": {"n_local": 16, "iters": 36}},
     )

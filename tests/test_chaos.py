@@ -22,18 +22,12 @@ from repro.chaos import (
 )
 from repro.chaos.__main__ import main as chaos_main
 from repro.chaos.metrics import EVENT_TYPES, event_lines
-from repro.chaos.report import (
-    check_against_baseline,
-    check_chaos_invariants,
-    render_markdown,
-    report_json,
-)
+from repro.chaos.report import check_chaos_invariants, render_markdown
 from repro.chaos.soak import build_plan, make_countermeasure
 from repro.errors import ChaosError, StudyError
 from repro.ft.inject import KillPlan
 from repro.registry import all_kinds, available, render_available
 from repro.simulator.costs import cray_xe6_like
-from repro.study.campaign import _trial_batches
 from repro.study.model import IntervalModel
 from repro.study.workloads import make_workload
 
@@ -311,20 +305,6 @@ def test_comparison_cells_face_identical_schedules(sim_comparison):
     assert len(plans) == 1
 
 
-def test_thread_executor_matches_serial(sim_comparison):
-    threaded = run_comparison(small_spec(), executor="thread", max_workers=3)
-    assert report_json(threaded) == report_json(sim_comparison)
-
-
-def test_report_roundtrip_and_baseline_gate(sim_comparison):
-    report = json.loads(report_json(sim_comparison))
-    assert check_against_baseline(report, report) == []
-    doctored = json.loads(report_json(sim_comparison))
-    key = next(iter(doctored["cells"]))
-    doctored["cells"][key]["metrics"]["kills_fired"] += 1
-    assert any("kills_fired" in f for f in check_against_baseline(report, doctored))
-
-
 def test_render_markdown_shows_every_cell(sim_comparison):
     text = render_markdown(sim_comparison)
     for result in sim_comparison:
@@ -469,24 +449,3 @@ def test_study_cli_list(capsys):
 
     assert study_main(["--list"]) == 0
     assert "workloads:" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# Campaign dispatch chunking (the executor fix rides with this PR)
-# ----------------------------------------------------------------------
-def test_trial_batches_cover_every_trial_in_order():
-    from repro.study import CampaignSpec
-
-    spec = CampaignSpec(trials=5)
-    cells = ["c0", "c1", "c2"]
-    baselines = [{"b": i} for i in range(3)]
-    for workers in (1, 2, 4, 16):
-        batches = _trial_batches(spec, cells, baselines, workers)
-        per_cell: dict[str, list[int]] = {c: [] for c in cells}
-        for _, cell, _, start, stop in batches:
-            assert start < stop <= spec.trials
-            per_cell[cell].extend(range(start, stop))
-        assert all(per_cell[c] == list(range(5)) for c in cells)
-        # Batches preserve sweep order: cells in order, ranges ascending.
-        order = [cell for _, cell, _, _, _ in batches]
-        assert order == sorted(order, key=cells.index)

@@ -9,13 +9,8 @@ from repro.errors import CheckpointError, QosError
 from repro.ft import build_ft_stack, make_store
 from repro.ft.stores import MultiLevelStore
 from repro.qos.delivery import BestEffort, QosMetrics, Reliable, make_delivery
-from repro.qos.engine import (
-    QosSpec,
-    _plan_seed,
-    check_invariants,
-    report_json,
-    run_qos,
-)
+from repro.experiment import report_json
+from repro.qos.engine import QosSpec, _trial_plan, check_invariants, run_qos
 from repro.rma import RmaRuntime
 from repro.simulator import Cluster
 from repro.simulator.costs import cray_xe6_like
@@ -280,11 +275,14 @@ def test_qos_spec_validates_axes_and_parameters():
 
 
 def test_plan_seed_depends_only_on_master_seed_and_trial():
+    def plan(spec, trial):
+        return [(e.after_ops, e.rank) for e in _trial_plan(spec, trial, 4000)]
+
     a = QosSpec(seed=3, stores=("memory",))
     b = QosSpec(seed=3, stores=("memory", "multilevel"))
-    assert _plan_seed(a, 0) == _plan_seed(b, 0)
-    assert _plan_seed(a, 0) != _plan_seed(a, 1)
-    assert _plan_seed(QosSpec(seed=4, stores=("memory",)), 0) != _plan_seed(a, 0)
+    assert plan(a, 0) == plan(b, 0)
+    assert plan(a, 0) != plan(a, 1)
+    assert plan(QosSpec(seed=4, stores=("memory",)), 0) != plan(a, 0)
 
 
 def test_run_qos_trade_off_invariants_hold_on_sim():

@@ -19,13 +19,11 @@ from repro.study import (
     IntervalModel,
     KvUpdate,
     RingAllreduce,
-    check_against_baseline,
     check_invariants,
     make_workload,
     optimal_interval_seconds,
     predicted_overhead,
     render_markdown,
-    report_json,
     run_campaign,
 )
 from repro.study.campaign import _Cell, _trial_seed
@@ -361,13 +359,6 @@ def test_trial_seeds_ignore_recovery_and_separate_trials():
     assert _trial_seed(spec, cell_g, 0) != _trial_seed(other, cell_g, 0)
 
 
-def test_campaign_report_is_byte_identical_across_reruns_and_executors():
-    serial = run_campaign(TINY, executor="serial")
-    again = run_campaign(TINY, executor="serial")
-    threaded = run_campaign(TINY, executor="thread", max_workers=4)
-    assert report_json(serial) == report_json(again) == report_json(threaded)
-
-
 def test_campaign_different_seeds_draw_disjoint_schedules():
     other = CampaignSpec(**{**TINY.__dict__, "seed": 7})
     a = run_campaign(TINY, executor="serial")
@@ -396,17 +387,6 @@ def test_campaign_invariants_and_rendering():
         assert cell["survival_rate"] > 0
         assert cell["bit_identical_rate"] == 1.0
         assert cell["predicted_overhead"] > 0
-    # Self-comparison passes the baseline gate; a mutated baseline fails it.
-    assert check_against_baseline(report, report) == []
-    import copy
-
-    mutated = copy.deepcopy(report)
-    key = next(iter(mutated["cells"]))
-    mutated["cells"][key]["survival_rate"] = -1.0
-    assert any("survival_rate" in f for f in check_against_baseline(report, mutated))
-    missing = copy.deepcopy(report)
-    missing["cells"]["ghost/sim/memory/global/mf=2/int=6"] = mutated["cells"][key]
-    assert any("missing" in f for f in check_against_baseline(report, missing))
 
 
 def test_campaign_cli_smoke(tmp_path, capsys):
