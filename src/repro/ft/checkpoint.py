@@ -106,18 +106,19 @@ class ActionLog(RmaInterceptor):
 
     def after_comm(self, action: CommAction) -> None:
         nbytes = action.nbytes
+        put_like = action.kind.is_put_like
         self.entries.setdefault(action.src, []).append((action.determinant(), nbytes))
         self.bytes_logged[action.src] = self.bytes_logged.get(action.src, 0) + nbytes
         if self.retain_actions:
             self.actions.append(action)
-        if action.is_put_like:
+        if put_like:
             self._dirty.setdefault((action.trg, action.window), []).append(
                 (action.offset, action.count)
             )
         if self._runtime is not None:
             costs = self._runtime.cluster.costs
             overhead = costs.log_bookkeeping
-            if action.is_put_like:
+            if put_like:
                 overhead += costs.local_copy(nbytes)
             self._runtime.cluster.advance(action.src, overhead, kind="protocol")
 

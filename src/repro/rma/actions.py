@@ -59,95 +59,87 @@ class ActionCategory(enum.Enum):
 
 
 class OpKind(enum.Enum):
-    """Concrete communication operations offered by the runtime."""
+    """Concrete communication operations offered by the runtime.
 
-    PUT = "put"
-    GET = "get"
-    ACCUMULATE = "accumulate"
-    GET_ACCUMULATE = "get_accumulate"
-    FETCH_AND_OP = "fetch_and_op"
-    COMPARE_AND_SWAP = "compare_and_swap"
+    Each member carries its Table 1 classification as plain attributes, set
+    once when the class is built, so the per-operation path reads a flag
+    instead of testing set membership:
 
-    @property
-    def is_put_like(self) -> bool:
-        """Whether the operation transfers data *to* the target (a put)."""
-        return self in {
-            OpKind.PUT,
-            OpKind.ACCUMULATE,
-            OpKind.GET_ACCUMULATE,
-            OpKind.FETCH_AND_OP,
-            OpKind.COMPARE_AND_SWAP,
-        }
+    * ``is_put_like`` — the operation transfers data *to* the target;
+    * ``is_get_like`` — it transfers data *from* the target (atomic
+      read-modify-write operations are both puts and gets);
+    * ``is_atomic`` — it is a remote atomic.
+    """
 
-    @property
-    def is_get_like(self) -> bool:
-        """Whether the operation transfers data *from* the target (a get).
+    is_put_like: bool
+    is_get_like: bool
+    is_atomic: bool
 
-        Atomic read-modify-write operations are both puts and gets (Table 1).
-        """
-        return self in {
-            OpKind.GET,
-            OpKind.GET_ACCUMULATE,
-            OpKind.FETCH_AND_OP,
-            OpKind.COMPARE_AND_SWAP,
-        }
+    # (value, is_put_like, is_get_like, is_atomic)
+    PUT = ("put", True, False, False)
+    GET = ("get", False, True, False)
+    ACCUMULATE = ("accumulate", True, False, True)
+    GET_ACCUMULATE = ("get_accumulate", True, True, True)
+    FETCH_AND_OP = ("fetch_and_op", True, True, True)
+    COMPARE_AND_SWAP = ("compare_and_swap", True, True, True)
 
-    @property
-    def is_atomic(self) -> bool:
-        """Whether the operation is a remote atomic."""
-        return self in {
-            OpKind.ACCUMULATE,
-            OpKind.GET_ACCUMULATE,
-            OpKind.FETCH_AND_OP,
-            OpKind.COMPARE_AND_SWAP,
-        }
+    def __new__(cls, value: str, put_like: bool, get_like: bool, atomic: bool) -> OpKind:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.is_put_like = put_like
+        member.is_get_like = get_like
+        member.is_atomic = atomic
+        return member
 
 
 class SyncKind(enum.Enum):
-    """Concrete synchronization operations offered by the runtime."""
+    """Concrete synchronization operations offered by the runtime.
 
-    LOCK = "lock"
-    UNLOCK = "unlock"
-    FLUSH = "flush"
-    FLUSH_ALL = "flush_all"
-    GSYNC = "gsync"
-    BARRIER = "barrier"
+    ``category`` maps each member to the paper's four synchronization
+    categories; ``closes_epoch`` says whether it completes (commits)
+    outstanding accesses.  Both are attributes set once per member.
+    """
 
-    @property
-    def category(self) -> ActionCategory:
-        """Map to the paper's four synchronization categories."""
-        if self in (SyncKind.FLUSH, SyncKind.FLUSH_ALL):
-            return ActionCategory.FLUSH
-        if self is SyncKind.LOCK:
-            return ActionCategory.LOCK
-        if self is SyncKind.UNLOCK:
-            return ActionCategory.UNLOCK
-        return ActionCategory.GSYNC
+    category: ActionCategory
+    closes_epoch: bool
 
-    @property
-    def closes_epoch(self) -> bool:
-        """Whether this synchronization completes (commits) outstanding accesses."""
-        return self in (SyncKind.UNLOCK, SyncKind.FLUSH, SyncKind.FLUSH_ALL, SyncKind.GSYNC)
+    LOCK = ("lock", ActionCategory.LOCK, False)
+    UNLOCK = ("unlock", ActionCategory.UNLOCK, True)
+    FLUSH = ("flush", ActionCategory.FLUSH, True)
+    FLUSH_ALL = ("flush_all", ActionCategory.FLUSH, True)
+    GSYNC = ("gsync", ActionCategory.GSYNC, True)
+    BARRIER = ("barrier", ActionCategory.GSYNC, False)
+
+    def __new__(cls, value: str, category: ActionCategory, closes_epoch: bool) -> SyncKind:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.category = category
+        member.closes_epoch = closes_epoch
+        return member
 
 
 class AccumulateOp(enum.Enum):
-    """Combining operators for accumulate-style puts."""
+    """Combining operators for accumulate-style puts.
 
-    REPLACE = "replace"
-    SUM = "sum"
-    PROD = "prod"
-    MIN = "min"
-    MAX = "max"
-    NO_OP = "no_op"  # used by fetch_and_op to implement an atomic read
+    ``combining`` is true if the result depends on the previous target
+    value.  The paper calls puts with this property *combining puts*;
+    replaying them twice corrupts the target (§4.2), hence the ``M`` flag.
+    """
 
-    @property
-    def combining(self) -> bool:
-        """True if the result depends on the previous target value.
+    combining: bool
 
-        The paper calls puts with this property *combining puts*; replaying
-        them twice corrupts the target (§4.2), hence the ``M`` flag.
-        """
-        return self not in (AccumulateOp.REPLACE, AccumulateOp.NO_OP)
+    REPLACE = ("replace", False)
+    SUM = ("sum", True)
+    PROD = ("prod", True)
+    MIN = ("min", True)
+    MAX = ("max", True)
+    NO_OP = ("no_op", False)  # used by fetch_and_op to implement an atomic read
+
+    def __new__(cls, value: str, combining: bool) -> AccumulateOp:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.combining = combining
+        return member
 
 
 def apply_accumulate(
@@ -230,18 +222,8 @@ class CommAction:
     # ------------------------------------------------------------------
     @property
     def category(self) -> ActionCategory:
-        """PUT or GET (atomics report PUT; use :attr:`is_get_like` for both)."""
+        """PUT or GET (atomics report PUT; ``kind.is_get_like`` tells both)."""
         return ActionCategory.PUT if self.kind.is_put_like else ActionCategory.GET
-
-    @property
-    def is_put_like(self) -> bool:
-        """Whether the action changes the target's memory."""
-        return self.kind.is_put_like
-
-    @property
-    def is_get_like(self) -> bool:
-        """Whether the action reads the target's memory into the source."""
-        return self.kind.is_get_like
 
     @property
     def nbytes(self) -> int:
@@ -291,7 +273,7 @@ class CommAction:
 
     def describe(self) -> str:
         """Short human-readable description, e.g. ``put(3=>7)[off=0,n=4]``."""
-        arrow = "=>" if self.is_put_like else "<="
+        arrow = "=>" if self.kind.is_put_like else "<="
         return (
             f"{self.kind.value}({self.src}{arrow}{self.trg})"
             f"[win={self.window},off={self.offset},n={self.count},"

@@ -21,7 +21,6 @@ even without any protocol attached).
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -47,29 +46,38 @@ class ProcessCounters:
     #: Targets currently locked by this process (for LockError checking).
     held_locks: dict[tuple[int, str | None], int] = field(default_factory=dict)
 
+    def copy(self) -> ProcessCounters:
+        """An independent copy; ``sc_held`` stays ``defaultdict(int)``."""
+        return ProcessCounters(
+            gc=self.gc,
+            gnc=self.gnc,
+            lc=self.lc,
+            sc_local=self.sc_local,
+            sc_held=defaultdict(int, self.sc_held),
+            held_locks=dict(self.held_locks),
+        )
+
 
 class CounterBoard:
     """Counters of every process of the job."""
 
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
-        self._counters = [ProcessCounters() for _ in range(nprocs)]
-
-    def of(self, rank: int) -> ProcessCounters:
-        """Counters of ``rank``."""
-        return self._counters[rank]
+        #: Per-rank counters, indexed by rank.  The runtime's per-operation
+        #: stamping reads them directly.
+        self.states = [ProcessCounters() for _ in range(nprocs)]
 
     # ------------------------------------------------------------------
     # GC — flush counter at the origin
     # ------------------------------------------------------------------
     def on_flush(self, src: int) -> int:
         """Record a flush issued by ``src``; return the new ``GC_src``."""
-        self._counters[src].gc += 1
-        return self._counters[src].gc
+        self.states[src].gc += 1
+        return self.states[src].gc
 
     def gc(self, rank: int) -> int:
         """Current ``GC`` of ``rank``."""
-        return self._counters[rank].gc
+        return self.states[rank].gc
 
     # ------------------------------------------------------------------
     # GNC — gsync counter
@@ -78,11 +86,11 @@ class CounterBoard:
         """Record a gsync observed by ``ranks`` (all processes by default)."""
         targets = range(self.nprocs) if ranks is None else ranks
         for rank in targets:
-            self._counters[rank].gnc += 1
+            self.states[rank].gnc += 1
 
     def gnc(self, rank: int) -> int:
         """Current ``GNC`` of ``rank``."""
-        return self._counters[rank].gnc
+        return self.states[rank].gnc
 
     # ------------------------------------------------------------------
     # SC — synchronization counter at the target, fetched on lock
@@ -94,8 +102,8 @@ class CounterBoard:
         returns the value now held by ``src`` for its accesses to ``trg``.
         Also maintains ``LC_src`` for the Locks CC scheme.
         """
-        src_counters = self._counters[src]
-        trg_counters = self._counters[trg]
+        src_counters = self.states[src]
+        trg_counters = self.states[trg]
         key = (trg, structure)
         if key in src_counters.held_locks:
             raise LockError(
@@ -109,7 +117,7 @@ class CounterBoard:
 
     def on_unlock(self, src: int, trg: int, structure: str | None = None) -> None:
         """Record ``src`` unlocking ``trg``; decrements ``LC_src``."""
-        src_counters = self._counters[src]
+        src_counters = self.states[src]
         key = (trg, structure)
         if key not in src_counters.held_locks:
             raise LockError(
@@ -122,22 +130,22 @@ class CounterBoard:
 
     def sc_held(self, src: int, trg: int) -> int:
         """SC value ``src`` currently holds for ``trg`` (0 if never locked)."""
-        return self._counters[src].sc_held.get(trg, 0)
+        return self.states[src].sc_held.get(trg, 0)
 
     def sc_local(self, rank: int) -> int:
         """The synchronization counter stored at ``rank``."""
-        return self._counters[rank].sc_local
+        return self.states[rank].sc_local
 
     # ------------------------------------------------------------------
     # LC — lock counter of the Locks coordinated-checkpointing scheme
     # ------------------------------------------------------------------
     def lc(self, rank: int) -> int:
         """Currently held locks of ``rank``."""
-        return self._counters[rank].lc
+        return self.states[rank].lc
 
     def holds_any_lock(self, rank: int) -> bool:
         """Whether ``rank`` currently holds any lock (checkpoint must wait)."""
-        return self._counters[rank].lc > 0
+        return self.states[rank].lc > 0
 
     def release_all_locks(self, rank: int) -> None:
         """Drop every lock ``rank`` currently holds (crash-recovery release).
@@ -149,7 +157,7 @@ class CounterBoard:
         historical ``sc_held`` stamps are kept — they record the ``so`` order
         of accesses already performed.
         """
-        counters = self._counters[rank]
+        counters = self.states[rank]
         counters.held_locks.clear()
         counters.lc = 0
 
@@ -162,17 +170,18 @@ class CounterBoard:
         reset too — recovering processes re-learn counter values from the logs
         (§6.2 demand-checkpoint confirmations carry them).
         """
-        self._counters[rank] = ProcessCounters()
+        self.states[rank] = ProcessCounters()
 
     def snapshot(self) -> list[ProcessCounters]:
-        """Deep-copy the counters of every rank (checkpoint payload)."""
-        return [copy.deepcopy(counters) for counters in self._counters]
+        """Copy the counters of every rank (checkpoint payload)."""
+        return [counters.copy() for counters in self.states]
 
     def restore(self, states: list[ProcessCounters]) -> None:
         """Roll every rank's counters back to a :meth:`snapshot`.
 
         A coordinated rollback restores *survivors* too: locks they held
         after the checkpoint are released with the rest of their state, so
-        the re-executed program can acquire them again.
+        the re-executed program can acquire them again.  The snapshot is
+        copied again, so one checkpoint can be restored any number of times.
         """
-        self._counters = [copy.deepcopy(counters) for counters in states]
+        self.states = [counters.copy() for counters in states]

@@ -12,7 +12,6 @@ Epochs induce the consistency order ``co``: actions issued by ``p`` towards
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -30,38 +29,44 @@ class EpochState:
     #: Total number of epochs this process has closed (any target).
     epochs_closed: int = 0
 
+    def copy(self) -> EpochState:
+        """An independent copy; both maps stay ``defaultdict(int)``."""
+        return EpochState(
+            epoch_of_target=defaultdict(int, self.epoch_of_target),
+            pending_ops=defaultdict(int, self.pending_ops),
+            epochs_closed=self.epochs_closed,
+        )
+
 
 class EpochTracker:
     """Tracks ``E(p -> q)`` and outstanding operations for all processes."""
 
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
-        self._states = [EpochState() for _ in range(nprocs)]
-
-    def state(self, rank: int) -> EpochState:
-        """Epoch state of ``rank``."""
-        return self._states[rank]
+        #: Per-rank state, indexed by rank.  The runtime's per-operation
+        #: stamping reads it directly.
+        self.states = [EpochState() for _ in range(nprocs)]
 
     def epoch(self, src: int, trg: int) -> int:
         """Current epoch number ``E(src -> trg)``."""
-        return self._states[src].epoch_of_target[trg]
+        return self.states[src].epoch_of_target[trg]
 
     def record_access(self, src: int, trg: int) -> int:
         """Note an outstanding access of ``src`` towards ``trg``; return its epoch."""
-        state = self._states[src]
+        state = self.states[src]
         state.pending_ops[trg] += 1
         return state.epoch_of_target[trg]
 
     def pending(self, src: int, trg: int | None = None) -> int:
         """Outstanding operations of ``src`` towards ``trg`` (or all targets)."""
-        state = self._states[src]
+        state = self.states[src]
         if trg is not None:
             return state.pending_ops[trg]
         return sum(state.pending_ops.values())
 
     def close_epoch(self, src: int, trg: int) -> int:
         """Close the epoch ``src -> trg`` (flush or unlock) and return the new epoch."""
-        state = self._states[src]
+        state = self.states[src]
         state.epoch_of_target[trg] += 1
         state.pending_ops[trg] = 0
         state.epochs_closed += 1
@@ -69,7 +74,7 @@ class EpochTracker:
 
     def close_all_epochs(self, src: int) -> None:
         """Close every open epoch of ``src`` (flush_all)."""
-        state = self._states[src]
+        state = self.states[src]
         for trg in list(state.epoch_of_target):
             state.epoch_of_target[trg] += 1
         for trg in list(state.pending_ops):
@@ -90,20 +95,24 @@ class EpochTracker:
         """
         ranks = range(self.nprocs) if src is None else (src,)
         for rank in ranks:
-            self._states[rank].pending_ops.clear()
+            self.states[rank].pending_ops.clear()
 
     def has_pending(self, src: int) -> bool:
         """Whether ``src`` has any outstanding operation in an open epoch."""
-        return any(v > 0 for v in self._states[src].pending_ops.values())
+        return any(v > 0 for v in self.states[src].pending_ops.values())
 
     def reset_rank(self, rank: int) -> None:
         """Forget all epoch state of ``rank`` (its replacement starts fresh)."""
-        self._states[rank] = EpochState()
+        self.states[rank] = EpochState()
 
     def snapshot(self) -> list[EpochState]:
-        """Deep-copy the epoch state of every rank (checkpoint payload)."""
-        return [copy.deepcopy(state) for state in self._states]
+        """Copy the epoch state of every rank (checkpoint payload)."""
+        return [state.copy() for state in self.states]
 
     def restore(self, states: list[EpochState]) -> None:
-        """Roll every rank's epoch state back to a :meth:`snapshot`."""
-        self._states = [copy.deepcopy(state) for state in states]
+        """Roll every rank's epoch state back to a :meth:`snapshot`.
+
+        The snapshot is copied again, so one checkpoint can be restored any
+        number of times.
+        """
+        self.states = [state.copy() for state in states]

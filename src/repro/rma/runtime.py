@@ -71,6 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 __all__ = ["RmaRuntime"]
 
+#: The suspended set of every delivery mode that tolerates no failures.
+_NONE_SUSPENDED: frozenset[int] = frozenset()
+
 
 class _Accrual:
     """Virtual cost and metrics of issued-but-uncompleted ops of one (src, trg).
@@ -116,8 +119,10 @@ class RmaRuntime:
         self._finalized = False
         #: Failures already propagated to windows and interceptors.
         self._known_failed: set[int] = set()
-        #: Uncharged cost/metrics of outstanding nonblocking ops per (src, trg).
-        self._accrued: dict[tuple[int, int], _Accrual] = {}
+        #: Uncharged cost/metrics of outstanding nonblocking ops, indexed
+        #: ``[src][trg]``; each origin's dict keeps first-issue order, which
+        #: fixes the order charges reach its clock.
+        self._accrued: list[dict[int, _Accrual]] = [{} for _ in range(self.nprocs)]
         #: Active log-driven replay of a localized recovery (None = normal).
         self._replay: ReplayCursor | None = None
         #: Ranks permanently removed by a degraded continuation: they are
@@ -166,9 +171,10 @@ class RmaRuntime:
         only changes at injector-controlled completion-stream positions,
         which are identical across sim/vector/proc by construction.
         """
-        if self.delivery is None:
-            return frozenset()
-        return self.delivery.suspended(self)
+        delivery = self.delivery
+        if delivery is None or not delivery.tolerates_failures:
+            return _NONE_SUSPENDED
+        return delivery.suspended(self)
 
     # ------------------------------------------------------------------
     # Window lifecycle
@@ -471,8 +477,8 @@ class RmaRuntime:
         # bytes, a batching one has not, so the liveness check (not the apply)
         # has to be the common failure point.  Suspended targets are exempt:
         # their in-flight operations resolve through the delivery mode.
-        for pair_src, trg in list(self._accrued):
-            if pair_src == src and trg not in suspended:
+        for trg in self._accrued[src]:
+            if trg not in suspended:
                 self.cluster.ensure_alive(trg)
         self._complete_rank(src)
         pending = self.epochs.pending(src)
@@ -504,12 +510,7 @@ class RmaRuntime:
         # alive at its entry, so it cannot observe this one — and a rank that
         # resumed would perform post-sync local stores the action log never
         # sees, which a localized replay could then not reconstruct.
-        self.observe_failures()
-        suspended = self.suspended_ranks()
-        failed = [
-            r for r in self.cluster.failed_ranks()
-            if r not in self.excised and r not in suspended
-        ]
+        failed = self._fatal_failures()
         if failed:
             raise ProcessFailedError(
                 failed[0], f"gsync observed failed ranks {failed} (fail-stop)"
@@ -520,11 +521,10 @@ class RmaRuntime:
         self.epochs.close_global_epoch()
         actions = []
         for rank in self.cluster.alive_ranks():
+            counters = self.counters.states[rank]
             action = SyncAction(
                 kind=SyncKind.GSYNC, src=rank, trg=None,
-                counters=Counters(
-                    gc=self.counters.gc(rank), gnc=self.counters.gnc(rank),
-                ),
+                counters=Counters(gc=counters.gc, gnc=counters.gnc),
             )
             self.interceptors.before_sync(action)
             self.recorder.record(action)
@@ -554,15 +554,8 @@ class RmaRuntime:
             try:
                 return self.cluster.barrier(cost=cost)
             except ProcessFailedError:
-                self.observe_failures()
-                suspended = self.suspended_ranks()
-                if not suspended:
-                    raise
-                failed = [
-                    r for r in self.cluster.failed_ranks()
-                    if r not in self.excised and r not in suspended
-                ]
-                if failed:
+                fatal = self._fatal_failures()
+                if not self.suspended_ranks() or fatal:
                     raise
 
     # ------------------------------------------------------------------
@@ -611,11 +604,16 @@ class RmaRuntime:
         folded into the cluster's failed set first, so a SIGKILLed worker
         surfaces through exactly the same path as a scheduled failure.
         """
+        cluster = self.cluster
         for rank in self.backend.poll_failures():
-            if self.cluster.is_alive(rank):
-                self.cluster.fail_rank(rank)
-        self.cluster.check_failures(now if now is not None else self.cluster.elapsed())
-        newly = sorted(set(self.cluster.failed_ranks()) - self._known_failed)
+            if cluster.is_alive(rank):
+                cluster.fail_rank(rank)
+        if cluster.injector.has_pending():
+            cluster.check_failures(now if now is not None else cluster.elapsed())
+        failed = cluster.injector.failed_ranks
+        if failed <= self._known_failed:
+            return []
+        newly = sorted(failed - self._known_failed)
         for rank in newly:
             self._known_failed.add(rank)
             self.backend.invalidate_rank(rank)
@@ -651,7 +649,8 @@ class RmaRuntime:
         discarded = self.backend.discard_pending()
         for handle in discarded:
             handle._mark_discarded()
-        self._accrued.clear()
+        for accrued in self._accrued:
+            accrued.clear()
         self.epochs.clear_pending()
         return len(discarded)
 
@@ -757,14 +756,18 @@ class RmaRuntime:
         delivery mode merely *suspends* (they are repaired at the next step
         boundary; the survivors' collective proceeds without them).
         """
-        self.observe_failures()
-        suspended = self.suspended_ranks()
-        dead = [
-            r for r in self.cluster.failed_ranks()
-            if r not in self.excised and r not in suspended
-        ]
+        dead = self._fatal_failures()
         if dead:
             raise ProcessFailedError(dead[0], f"{what} observed failed ranks {dead}")
+
+    def _fatal_failures(self) -> list[int]:
+        """Observe failures; return the failed ranks that are members and not suspended."""
+        self.observe_failures()
+        failed = self.cluster.injector.failed_ranks
+        if not failed:
+            return []
+        suspended = self.suspended_ranks()
+        return [r for r in sorted(failed) if r not in self.excised and r not in suspended]
 
     def _pre_action(self, src: int, trg: int) -> None:
         """Failure check before any targeted action: src then trg must be alive.
@@ -777,13 +780,15 @@ class RmaRuntime:
         raises :class:`~repro.errors.RankSuspendedError` so the scheduler
         skips just that rank's turn.
         """
-        self.observe_failures(self.cluster.now(src))
+        cluster = self.cluster
+        # A pending time-scheduled failure fires against the origin's clock.
+        self.observe_failures(cluster.now(src) if cluster.injector.has_pending() else None)
         suspended = self.suspended_ranks()
         if src in suspended:
             raise RankSuspendedError(src)
-        self.cluster.ensure_alive(src)
+        cluster.ensure_alive(src)
         if trg not in self.excised and trg not in suspended:
-            self.cluster.ensure_alive(trg)
+            cluster.ensure_alive(trg)
 
     @staticmethod
     def _coerce_payload(data: np.ndarray, win: Window) -> np.ndarray:
@@ -799,11 +804,12 @@ class RmaRuntime:
 
     def _stamp(self, src: int, trg: int, *, sc: int | None = None) -> Counters:
         """Counters a fresh ``src -> trg`` action carries (Eq. 1/3)."""
+        counters = self.counters.states[src]
         return Counters(
-            ec=self.epochs.epoch(src, trg),
-            gc=self.counters.gc(src),
-            sc=self.counters.sc_held(src, trg) if sc is None else sc,
-            gnc=self.counters.gnc(src),
+            ec=self.epochs.states[src].epoch_of_target[trg],
+            gc=counters.gc,
+            sc=counters.sc_held.get(trg, 0) if sc is None else sc,
+            gnc=counters.gnc,
         )
 
     def _make_comm(
@@ -874,15 +880,15 @@ class RmaRuntime:
         self.interceptors.before_comm(action)
         handle = OpHandle(action)
         self.backend.issue(handle, win)
-        accrual = self._accrued.get((action.src, action.trg))
+        accrued = self._accrued[action.src]
+        accrual = accrued.get(action.trg)
         if accrual is None:
-            accrual = self._accrued[(action.src, action.trg)] = _Accrual()
+            accrual = accrued[action.trg] = _Accrual()
+        kind = action.kind
         nbytes = action.count * win.itemsize
-        accrual.cost += self.cluster.costs.remote_transfer(
-            nbytes, atomic=action.kind.is_atomic
-        )
+        accrual.cost += self.cluster.costs.remote_transfer(nbytes, atomic=kind.is_atomic)
         accrual.nbytes += nbytes
-        accrual.kinds[action.kind.value] += 1
+        accrual.kinds[kind.value] += 1
         self.epochs.record_access(action.src, action.trg)
         self.recorder.record(action)
         return handle
@@ -895,7 +901,7 @@ class RmaRuntime:
         handle = OpHandle(action)
         if action.kind.is_get_like and logged.data is not None:
             action.data = np.array(logged.data, copy=True)
-        if action.is_put_like and logged.trg in self._replay.restoring:
+        if action.kind.is_put_like and logged.trg in self._replay.restoring:
             nbytes = replay_apply(logged, win)
             self.cluster.advance(
                 logged.trg, self.cluster.costs.local_copy(nbytes), kind="protocol"
@@ -942,8 +948,8 @@ class RmaRuntime:
         ):
             raise ProcessFailedError(src)
         self._retire(self.backend.complete_rank(src))
-        for key in [k for k in self._accrued if k[0] == src]:
-            self._charge_accrued(*key)
+        for trg in list(self._accrued[src]):
+            self._charge_accrued(src, trg)
 
     def _discard_toward(self, src: int, trgs: frozenset[int]) -> None:
         """Resolve ``src``'s in-flight ops toward suspended targets, effect-free.
@@ -960,8 +966,9 @@ class RmaRuntime:
             action = handle.action
             self.delivery.resolve(action, self.windows.get(action.window), self)
             handle._mark_completed()
+        accrued = self._accrued[src]
         for trg in trgs:
-            self._accrued.pop((src, trg), None)
+            accrued.pop(trg, None)
 
     def _discard_from(self, src: int) -> None:
         """Abandon a suspended origin's whole in-flight queue (fail-stop).
@@ -980,8 +987,7 @@ class RmaRuntime:
             self.cluster.metrics.incr(
                 "qos.discarded_inflight", len(handles), rank=src
             )
-        for key in [k for k in self._accrued if k[0] == src]:
-            del self._accrued[key]
+        self._accrued[src].clear()
 
     def _retire(self, handles: list[OpHandle]) -> None:
         """Mark completed handles and emit the completion stream to interceptors."""
@@ -991,7 +997,7 @@ class RmaRuntime:
 
     def _charge_accrued(self, src: int, trg: int) -> None:
         """Charge the accrued cost/metrics of a completed ``(src, trg)`` batch."""
-        accrual = self._accrued.pop((src, trg), None)
+        accrual = self._accrued[src].pop(trg, None)
         if accrual is None:
             return
         self.cluster.advance(src, accrual.cost, kind="comm")

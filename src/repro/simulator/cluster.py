@@ -182,7 +182,7 @@ class Cluster:
         time-based :class:`~repro.simulator.failures.FailureSchedule`.
         """
         self._check_rank(rank)
-        self.injector._failed_ranks.add(rank)  # noqa: SLF001 - deliberate internal use
+        self.injector.mark_failed(rank)
         self.metrics.incr("cluster.failures", rank=rank)
 
     def is_alive(self, rank: int) -> bool:

@@ -176,13 +176,15 @@ class FailureInjector:
         self.schedule = schedule
         self.placement = placement
         self._pending: list[FailureEvent] = sorted(schedule.events)
-        self._failed_ranks: set[int] = set()
+        #: Replaced, never mutated, on every change: readers on the
+        #: per-operation path get the current set without a copy.
+        self._failed_ranks: frozenset[int] = frozenset()
         self._failed_elements: list[FailureEvent] = []
 
     @property
     def failed_ranks(self) -> frozenset[int]:
         """Ranks that have failed so far (and not been replaced)."""
-        return frozenset(self._failed_ranks)
+        return self._failed_ranks
 
     @property
     def triggered_events(self) -> list[FailureEvent]:
@@ -211,7 +213,7 @@ class FailureInjector:
             self._failed_elements.append(event)
             for rank in self.ranks_of_event(event):
                 if rank not in self._failed_ranks:
-                    self._failed_ranks.add(rank)
+                    self.mark_failed(rank)
                     newly.append(rank)
         return newly
 
@@ -219,9 +221,13 @@ class FailureInjector:
         """Whether ``rank`` is currently marked dead."""
         return rank in self._failed_ranks
 
+    def mark_failed(self, rank: int) -> None:
+        """Mark ``rank`` dead (a scheduled event or an explicit kill)."""
+        self._failed_ranks = self._failed_ranks | {rank}
+
     def revive(self, rank: int) -> None:
         """Mark ``rank`` alive again (a replacement process has been spawned)."""
-        self._failed_ranks.discard(rank)
+        self._failed_ranks = self._failed_ranks - {rank}
 
     def has_pending(self) -> bool:
         """Whether future failure events remain in the schedule."""

@@ -1,5 +1,8 @@
 """Fault-tolerance subsystem: buddies, checkpointing, recovery, e2e stencil."""
 
+import copy
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,72 @@ def test_checkpoint_refused_while_lock_held_or_rank_dead():
     runtime.cluster.fail_rank(2)
     with pytest.raises(CheckpointError):
         checkpointer.checkpoint()
+
+
+def _busy_checkpoint():
+    """A checkpoint taken after epochs, GC, SC and GNC all moved."""
+    runtime, checkpointer, _ = _ft_runtime()
+    runtime.win_allocate("w", 4)
+    runtime.put(0, 1, "w", 0, [1.0])
+    runtime.flush(0, 1)
+    runtime.lock(2, 3)
+    runtime.put(2, 3, "w", 0, [2.0])
+    runtime.unlock(2, 3)
+    runtime.gsync()
+    return runtime, checkpointer.checkpoint(tag="busy")
+
+
+def test_checkpoint_state_is_independent_of_later_actions():
+    runtime, version = _busy_checkpoint()
+    epochs = copy.deepcopy(version.epoch_states)
+    counters = copy.deepcopy(version.counter_states)
+    runtime.put(0, 1, "w", 0, [3.0])
+    runtime.flush(0, 1)
+    runtime.lock(2, 3)
+    runtime.lock(0, 5)
+    runtime.unlock(0, 5)
+    runtime.unlock(2, 3)
+    runtime.gsync()
+    assert version.epoch_states == epochs
+    assert version.counter_states == counters
+
+
+def test_restoring_one_version_twice_gives_equal_independent_state():
+    runtime, version = _busy_checkpoint()
+    runtime.epochs.restore(version.epoch_states)
+    runtime.counters.restore(version.counter_states)
+    first_epochs, first_counters = runtime.epochs.states, runtime.counters.states
+    runtime.put(0, 1, "w", 0, [3.0])
+    runtime.flush(0, 1)
+    runtime.lock(2, 3)
+    runtime.epochs.restore(version.epoch_states)
+    runtime.counters.restore(version.counter_states)
+    assert runtime.epochs.states == version.epoch_states
+    assert runtime.counters.states == version.counter_states
+    assert first_epochs != runtime.epochs.states
+    for restored, saved in zip(runtime.epochs.states, version.epoch_states):
+        assert restored.epoch_of_target is not saved.epoch_of_target
+        assert restored.pending_ops is not saved.pending_ops
+    for restored, earlier in zip(runtime.counters.states, first_counters):
+        assert restored.sc_held is not earlier.sc_held
+        assert restored.held_locks is not earlier.held_locks
+
+
+def test_restored_state_reads_untouched_targets_as_zero():
+    runtime, version = _busy_checkpoint()
+    runtime.epochs.restore(version.epoch_states)
+    runtime.counters.restore(version.counter_states)
+    state = runtime.epochs.states[0]
+    counters = runtime.counters.states[0]
+    assert type(state.epoch_of_target) is defaultdict
+    assert type(state.pending_ops) is defaultdict
+    assert type(counters.sc_held) is defaultdict
+    # Rank 0 never addressed rank 7: epoch 0, SC 0, no KeyError.
+    assert runtime.epochs.epoch(0, 7) == 0
+    assert runtime.epochs.pending(0, 7) == 0
+    assert runtime.counters.sc_held(0, 7) == 0
+    assert counters.sc_held[7] == 0
+    assert runtime.put(0, 7, "w", 0, [1.0]).counters.as_tuple() == (0, 1, 0, 1)
 
 
 def test_store_evicts_oldest_beyond_keep_versions():

@@ -129,6 +129,71 @@ def test_direct_fail_rank_is_observed_and_propagated():
     assert spy.respawned == [3]
 
 
+class _DeathSpy(RmaInterceptor):
+    """Records every ``on_failure_detected`` the runtime fires."""
+
+    def __init__(self):
+        self.failed = []
+
+    def on_failure_detected(self, rank):
+        self.failed.append(rank)
+
+
+def _spied_runtime(schedule=None):
+    rt = RmaRuntime(Cluster.simple(4, failure_schedule=schedule))
+    rt.win_allocate("w", 4)
+    spy = _DeathSpy()
+    rt.add_interceptor(spy)
+    return rt, spy
+
+
+def test_direct_fail_rank_surfaces_on_the_next_targeted_action():
+    rt, spy = _spied_runtime()
+    rt.put(0, 1, "w", 0, [1.0])
+    assert spy.failed == []
+    rt.cluster.fail_rank(2)
+    # An action between two survivors still observes the death, once.
+    rt.put(0, 1, "w", 0, [2.0])
+    assert spy.failed == [2]
+    rt.lock(1, 0)
+    rt.unlock(1, 0)
+    rt.flush(0, 1)
+    assert spy.failed == [2]
+
+
+def test_kill_respawn_kill_of_one_rank_is_reported_twice():
+    rt, spy = _spied_runtime()
+    rt.cluster.fail_rank(3)
+    with pytest.raises(ProcessFailedError):
+        rt.put(0, 3, "w", 0, [1.0])
+    assert spy.failed == [3]
+    rt.cluster.respawn_rank(3)
+    rt.backend.reallocate_rank(3)
+    rt.notify_respawn(3)
+    rt.put(0, 3, "w", 0, [1.0])
+    assert spy.failed == [3]
+    rt.cluster.fail_rank(3)
+    rt.put(0, 1, "w", 0, [1.0])
+    rt.put(1, 2, "w", 0, [1.0])
+    assert spy.failed == [3, 3]
+
+
+def test_scheduled_failure_fires_at_its_time():
+    rt, spy = _spied_runtime(FailureSchedule.single_rank(2, 1.0))
+    rt.cluster.advance(0, 0.5)
+    rt.put(0, 1, "w", 0, [1.0])
+    assert spy.failed == []
+    assert rt.cluster.is_alive(2)
+    # The origin's clock passes the failure time: its next action fires it.
+    rt.cluster.advance(0, 1.0)
+    rt.put(0, 1, "w", 0, [1.0])
+    assert spy.failed == [2]
+    assert not rt.cluster.is_alive(2)
+    assert rt.cluster.metrics.get("cluster.failures") == 1
+    rt.put(0, 1, "w", 0, [1.0])
+    assert spy.failed == [2]
+
+
 def test_failed_origin_cannot_issue_actions():
     rt = RmaRuntime(Cluster.simple(4))
     rt.win_allocate("w", 4)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rma.actions import ActionCategory, OpKind
+from repro.rma.actions import AccumulateOp, ActionCategory, OpKind, SyncKind
 from repro.rma.table1 import (
     TABLE1,
     categories_of,
@@ -64,16 +64,52 @@ def test_render_table1_mentions_every_operation_and_category():
 
 
 @pytest.mark.parametrize(
-    ("kind", "put_like", "get_like"),
+    ("kind", "put_like", "get_like", "atomic"),
     [
-        (OpKind.PUT, True, False),
-        (OpKind.GET, False, True),
-        (OpKind.ACCUMULATE, True, False),
-        (OpKind.GET_ACCUMULATE, True, True),
-        (OpKind.FETCH_AND_OP, True, True),
-        (OpKind.COMPARE_AND_SWAP, True, True),
+        (OpKind.PUT, True, False, False),
+        (OpKind.GET, False, True, False),
+        (OpKind.ACCUMULATE, True, False, True),
+        (OpKind.GET_ACCUMULATE, True, True, True),
+        (OpKind.FETCH_AND_OP, True, True, True),
+        (OpKind.COMPARE_AND_SWAP, True, True, True),
     ],
 )
-def test_runtime_opkinds_match_declared_categories(kind, put_like, get_like):
+def test_runtime_opkinds_match_declared_categories(kind, put_like, get_like, atomic):
     assert kind.is_put_like is put_like
     assert kind.is_get_like is get_like
+    assert kind.is_atomic is atomic
+    assert OpKind(kind.value) is kind
+
+
+@pytest.mark.parametrize(
+    ("kind", "category", "closes_epoch"),
+    [
+        (SyncKind.LOCK, ActionCategory.LOCK, False),
+        (SyncKind.UNLOCK, ActionCategory.UNLOCK, True),
+        (SyncKind.FLUSH, ActionCategory.FLUSH, True),
+        (SyncKind.FLUSH_ALL, ActionCategory.FLUSH, True),
+        (SyncKind.GSYNC, ActionCategory.GSYNC, True),
+        (SyncKind.BARRIER, ActionCategory.GSYNC, False),
+    ],
+)
+def test_runtime_synckinds_match_declared_categories(kind, category, closes_epoch):
+    assert kind.category is category
+    assert kind.closes_epoch is closes_epoch
+    assert SyncKind(kind.value) is kind
+
+
+@pytest.mark.parametrize(
+    ("op", "combining"),
+    [
+        (AccumulateOp.REPLACE, False),
+        (AccumulateOp.SUM, True),
+        (AccumulateOp.PROD, True),
+        (AccumulateOp.MIN, True),
+        (AccumulateOp.MAX, True),
+        (AccumulateOp.NO_OP, False),
+    ],
+)
+def test_accumulate_ops_declare_whether_they_combine(op, combining):
+    # Combining puts are the ones a replay must not apply twice (§4.2).
+    assert op.combining is combining
+    assert AccumulateOp(op.value) is op
