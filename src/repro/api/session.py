@@ -54,12 +54,14 @@ __all__ = ["Job", "JobReport", "SessionObserver", "launch"]
 
 
 class SessionObserver:
-    """No-op base class for session lifecycle observers (chaos monitors).
+    """No-op base class for session lifecycle observers.
 
     Register instances with :meth:`Job.add_observer`.  Every hook carries the
     job's *virtual* timestamp (``cluster.elapsed()``), so observer-built event
     logs are byte-identical across backends and re-runs.  Hooks run inline in
-    the step loop and must not raise.
+    the step loop and must not raise.  The job's tracer is fed through these
+    hooks; consumers that need every seam's events (the chaos monitors, the
+    serve ``WindowTracker``) subscribe to the tracer instead.
     """
 
     def on_step_completed(self, step: int, t: float) -> None:
@@ -142,7 +144,6 @@ class Job:
         topology: Topology | None = None,
         ft: FaultTolerancePolicy | None = None,
         failures: FailureSchedule | None = None,
-        record: bool = False,
         sync_each_step: bool = True,
         backend: str | Backend | None = None,
         watchdog: float | None = None,
@@ -160,7 +161,7 @@ class Job:
         resolved_backend = resolve_component(
             "backend", backend, BACKENDS, Backend, PolicyError, default="sim"
         )
-        self.runtime = RmaRuntime(self.cluster, record=record, backend=resolved_backend)
+        self.runtime = RmaRuntime(self.cluster, backend=resolved_backend)
         self.contexts: list[RankContext] = [
             RankContext(self.runtime, rank) for rank in range(nprocs)
         ]
@@ -687,7 +688,6 @@ def launch(
     topology: Topology | None = None,
     ft: FaultTolerancePolicy | None = None,
     failures: FailureSchedule | None = None,
-    record: bool = False,
     sync_each_step: bool = True,
     backend: str | Backend | None = None,
     watchdog: float | None = None,
@@ -707,9 +707,6 @@ def launch(
         failures propagate out of :meth:`Job.run`.
     failures:
         Fail-stop schedule to inject (tests, resilience studies).
-    record:
-        Record every action in the runtime's
-        :class:`~repro.rma.ordering.OrderRecorder` (trace/determinism tests).
     sync_each_step:
         Close every job step with an implicit ``gsync`` — the BSP-style
         superstep boundary where failures are usually observed.  Disable for
@@ -741,7 +738,6 @@ def launch(
         topology=topology,
         ft=ft,
         failures=failures,
-        record=record,
         sync_each_step=sync_each_step,
         backend=backend,
         watchdog=watchdog,

@@ -1,10 +1,8 @@
 """Chaos monitors — virtual-time failure/recovery transition detectors.
 
-A monitor consumes the trace event bus (``tracer.subscribe(monitor.consume)``
-— how the soak driver wires it) or, equivalently, plugs in directly as a
-:class:`~repro.api.session.SessionObserver` plus a
-:class:`~repro.ft.inject.FaultInjector` listener; either way it sees both
-halves of every outage:
+A monitor consumes the trace event bus (``tracer.subscribe(monitor.consume)``,
+wired by :func:`repro.experiment.injected_session`), so it sees both halves
+of every outage:
 
 * ``failure_initiated`` — the injector lands a kill (SIGKILL on ``proc``,
   simulated fail-stop elsewhere), *before* the control plane notices;
@@ -30,15 +28,8 @@ under the kind ``"monitor"``: ``"transitions"`` streams every transition,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.api.session import SessionObserver
 from repro.errors import ChaosError
-from repro.ft.inject import FiredKill
 from repro.registry import register_kind, resolve_component
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.api.session import Job
 
 __all__ = [
     "ChaosMonitor",
@@ -49,7 +40,7 @@ __all__ = [
 ]
 
 
-class ChaosMonitor(SessionObserver):
+class ChaosMonitor:
     """Base monitor: the transition state machine and the event buffer.
 
     Subclasses choose what extra structure to emit; the base class owns the
@@ -66,20 +57,10 @@ class ChaosMonitor(SessionObserver):
         #: Steps per workload round; set by the soak driver so the monitor
         #: can emit ``round_completed`` markers (0 disables them).
         self.steps_per_round = 0
-        self._job: Job | None = None
         self._episode: dict | None = None
         self._max_step_completed = -1
 
     # ------------------------------------------------------------------
-    def bind(self, job: "Job") -> None:
-        """Attach to ``job``'s cluster for virtual timestamps."""
-        self._job = job
-
-    def _now(self) -> float:
-        if self._job is None:
-            raise ChaosError("monitor used before bind(job)")
-        return self._job.cluster.elapsed()
-
     def emit(self, type_: str, t: float, **fields) -> None:
         """Append one event (used internally and by the soak driver)."""
         self.events.append({"type": type_, "t": t, **fields})
@@ -90,34 +71,25 @@ class ChaosMonitor(SessionObserver):
     def consume(self, event: dict) -> None:
         """Trace-bus subscriber: drive the monitor from a job's tracer.
 
-        The soak driver wires this via ``tracer.subscribe(monitor.consume)``
-        instead of registering the monitor as its own observer/listener
-        stack — one instrumentation source, no double-counting.  Timestamps
-        come from the events themselves (the tracer stamps the same
-        ``cluster.elapsed()`` the direct hooks used to read), so the chaos
-        event stream is byte-identical to the pre-bus wiring.  Event types
+        Timestamps come from the events themselves — the tracer stamps
+        every one with the job's virtual ``cluster.elapsed()``.  Event types
         outside the monitor's vocabulary are ignored.
         """
         kind = event["type"]
         t = event["t"]
         if kind == "kill_fired":
-            self._record_kill(
-                t,
-                rank=event["rank"],
-                victims=list(event["victims"]),
-                kill_kind=event["kind"],
-                after_ops=event["after_ops"],
-                real=bool(event.get("rt", {}).get("real", False)),
-            )
+            self._record_kill(t, event)
         elif kind == "kill_skipped":
-            self._record_skip(t, rank=event["rank"], after_ops=event["after_ops"])
+            self.emit(
+                "failure_skipped", t, rank=event["rank"], after_ops=event["after_ops"]
+            )
         elif kind == "failure_detected":
             self.on_failure_detected(event["rank"], event["step"], t)
         elif kind == "recovery_started":
-            self.on_recovery_started(event["step"], t)
+            self.emit("recovery_started", t, step=event["step"])
         elif kind == "protocol_applied":
-            self._record_protocol(
-                t,
+            self.emit(
+                "protocol_applied", t,
                 protocol=event["protocol"],
                 kind=event["kind"],
                 failed=list(event["failed"]),
@@ -126,51 +98,19 @@ class ChaosMonitor(SessionObserver):
                 resume_step=event["resume_step"],
             )
         elif kind == "recovery_completed":
-            self.on_recovery_completed(event["resume_step"], t)
+            self.emit("recovery_completed", t, resume_step=event["resume_step"])
         elif kind == "step_completed":
             self.on_step_completed(event["step"], t)
 
-    # ------------------------------------------------------------------
-    # Injector listener (direct wiring; the trace bus uses the _record_*
-    # handlers with the bus event's timestamp instead)
-    # ------------------------------------------------------------------
-    def on_kill(self, record: FiredKill) -> None:
-        """Injector callback: a planned event resolved (fired or skipped)."""
-        t = self._now()
-        if record.skipped:
-            self._record_skip(
-                t, rank=record.event.rank, after_ops=record.event.after_ops
-            )
-            return
-        self._record_kill(
-            t,
-            rank=record.event.rank,
-            victims=list(record.victims),
-            kill_kind=record.event.kind.value,
-            after_ops=record.event.after_ops,
-            real=record.real,
-        )
-
-    def _record_skip(self, t: float, *, rank: int, after_ops: int) -> None:
-        self.emit("failure_skipped", t, rank=rank, after_ops=after_ops)
-
-    def _record_kill(
-        self,
-        t: float,
-        *,
-        rank: int,
-        victims: list[int],
-        kill_kind: str,
-        after_ops: int,
-        real: bool,
-    ) -> None:
+    def _record_kill(self, t: float, event: dict) -> None:
+        victims = list(event["victims"])
         self.emit(
             "failure_initiated", t,
-            rank=rank,
-            victims=list(victims),
-            kind=kill_kind,
-            after_ops=after_ops,
-            real=real,
+            rank=event["rank"],
+            victims=victims,
+            kind=event["kind"],
+            after_ops=event["after_ops"],
+            real=bool(event.get("rt", {}).get("real", False)),
         )
         if self._episode is None:
             self._episode = {
@@ -186,9 +126,6 @@ class ChaosMonitor(SessionObserver):
                 if victim not in self._episode["victims"]:
                     self._episode["victims"].append(victim)
 
-    # ------------------------------------------------------------------
-    # Session observer
-    # ------------------------------------------------------------------
     def on_failure_detected(self, rank: int, step: int, t: float) -> None:
         self.emit("failure_detected", t, rank=rank, step=step)
         if self._episode is None:
@@ -203,44 +140,6 @@ class ChaosMonitor(SessionObserver):
             self._episode["detected_t"] = t
         crash = self._episode["crash_step"]
         self._episode["crash_step"] = step if crash is None else max(crash, step)
-
-    def on_recovery_started(self, step: int, t: float) -> None:
-        self.emit("recovery_started", t, step=step)
-
-    def on_protocol_applied(self, outcome, resume_step: int, t: float) -> None:
-        self._record_protocol(
-            t,
-            protocol=outcome.protocol,
-            kind=outcome.kind,
-            failed=list(outcome.failed),
-            restored_bytes=outcome.restored_bytes,
-            fallback=outcome.fallback,
-            resume_step=resume_step,
-        )
-
-    def _record_protocol(
-        self,
-        t: float,
-        *,
-        protocol: str,
-        kind: str,
-        failed: list[int],
-        restored_bytes: int,
-        fallback: bool,
-        resume_step: int,
-    ) -> None:
-        self.emit(
-            "protocol_applied", t,
-            protocol=protocol,
-            kind=kind,
-            failed=list(failed),
-            restored_bytes=restored_bytes,
-            fallback=fallback,
-            resume_step=resume_step,
-        )
-
-    def on_recovery_completed(self, resume_step: int, t: float) -> None:
-        self.emit("recovery_completed", t, resume_step=resume_step)
 
     def on_step_completed(self, step: int, t: float) -> None:
         episode = self._episode

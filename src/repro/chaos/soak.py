@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.api.policy import FaultTolerancePolicy
-from repro.chaos.metrics import ChaosMetrics, compute_metrics, write_events
+from repro.chaos.metrics import ChaosMetrics, compute_metrics
 from repro.chaos.monitor import make_monitor
 from repro.chaos.scenarios import make_scenario
 from repro.errors import ChaosError
@@ -312,7 +312,7 @@ def build_plan(spec: SoakSpec, *, ops_per_round: int, steps_per_round: int) -> K
 # ----------------------------------------------------------------------
 # The driver
 # ----------------------------------------------------------------------
-def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
+def run_soak(spec: SoakSpec) -> SoakResult:
     """Run one soak cell to completion and compute its reliability metrics.
 
     The whole soak is **one** session and one :meth:`~repro.api.session.Job.run`
@@ -371,8 +371,6 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
         )
 
     metrics = compute_metrics(monitor.events)
-    if events_path is not None:
-        write_events(monitor.events, events_path)
 
     # The analytic prediction for this cell: the §5–§7 interval model fed the
     # *planned* failure rate, so predicted and observed MTTR/availability can

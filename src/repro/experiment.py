@@ -237,8 +237,8 @@ def injected_session(
     """Run ``workload`` for ``steps`` under ``policy`` while ``plan`` strikes.
 
     The job's tracer comes from the active trace hub under ``label`` (a
-    lifecycle-only private tracer without one); ``observer`` is bound to the
-    job and subscribed to the tracer before the injector is installed.  A
+    lifecycle-only private tracer without one); ``observer.consume`` is
+    subscribed to the tracer before the injector is installed.  A
     failure recovery cannot absorb — a rank lost with its buddy, no usable
     checkpoint — ends the run early: surviving *is* the measurement, so it
     is reported as ``aborted`` rather than raised.  The session is yielded
@@ -257,7 +257,6 @@ def injected_session(
         trace=tracer,
     ) as job:
         workload.setup(job)
-        observer.bind(job)
         tracer.subscribe(observer.consume)
         injector = install_injector(job, plan)
         aborted: str | None = None

@@ -2,8 +2,11 @@
 
 * :mod:`~repro.rma.actions` — communication/synchronization actions (Eq. 1–3),
 * :mod:`~repro.rma.epoch` — epoch tracking ``E(p -> q)`` (§2.2),
-* :mod:`~repro.rma.counters` — the recovery counters EC/GC/SC/GNC/LC (§4.1),
-* :mod:`~repro.rma.ordering` — the orders ``po``, ``so``, ``hb``, ``co`` (§2.3),
+* :mod:`~repro.rma.counters` — the recovery counters EC/GC/SC/GNC/LC (§4.1);
+  the EC/SC/GNC stamps every action carries encode the §2.3 orders ``co``,
+  ``so`` and the gsync order, issue order per origin gives ``po``, and the
+  canonical trace (:mod:`repro.trace`) records the stamps on every op and
+  sync event,
 * :mod:`~repro.rma.handles` — nonblocking operation handles (issue vs completion),
 * :mod:`~repro.rma.table1` — operation categorization across languages (Table 1),
 * :mod:`~repro.rma.interceptor` — PMPI-style interposition hooks (§6.1),
@@ -24,7 +27,6 @@ from repro.rma.counters import CounterBoard
 from repro.rma.epoch import EpochTracker
 from repro.rma.handles import OpHandle
 from repro.rma.interceptor import InterceptorChain, RmaInterceptor
-from repro.rma.ordering import OrderRecorder
 from repro.rma.runtime import RmaRuntime
 from repro.rma.window import Window, WindowRegistry
 
@@ -41,7 +43,6 @@ __all__ = [
     "OpHandle",
     "InterceptorChain",
     "RmaInterceptor",
-    "OrderRecorder",
     "RmaRuntime",
     "Window",
     "WindowRegistry",

@@ -30,9 +30,9 @@ cluster (:mod:`repro.simulator`) and to a pluggable execution
 The driver is SPMD-by-iteration: a single thread issues actions on behalf of
 each rank (``src`` is an explicit argument), which keeps the simulation
 deterministic while preserving per-rank timing.  Determinism is
-backend-independent: costs, counters, recording and failure observation all
-happen here, so two backends given the same program produce bit-identical
-traces and clocks.
+backend-independent: costs, counter stamps, interceptor calls and failure
+observation all happen here, so two backends given the same program produce
+bit-identical traces and clocks.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from repro.rma.counters import CounterBoard
 from repro.rma.epoch import EpochTracker
 from repro.rma.handles import OpHandle
 from repro.rma.interceptor import InterceptorChain, RmaInterceptor
-from repro.rma.ordering import OrderRecorder
 from repro.rma.replay import ReplayCursor, replay_apply
 from repro.rma.window import Window, WindowRegistry
 from repro.simulator.cluster import Cluster
@@ -100,7 +99,6 @@ class RmaRuntime:
         self,
         cluster: Cluster,
         *,
-        record: bool = False,
         backend: "str | Backend | None" = None,
     ) -> None:
         # Deferred import: repro.backends needs the rma model modules, which
@@ -115,7 +113,6 @@ class RmaRuntime:
         self.epochs = EpochTracker(cluster.nprocs)
         self.counters = CounterBoard(cluster.nprocs)
         self.interceptors = InterceptorChain()
-        self.recorder = OrderRecorder(enabled=record)
         self._finalized = False
         #: Failures already propagated to windows and interceptors.
         self._known_failed: set[int] = set()
@@ -527,7 +524,6 @@ class RmaRuntime:
                 counters=Counters(gc=counters.gc, gnc=counters.gnc),
             )
             self.interceptors.before_sync(action)
-            self.recorder.record(action)
             self.interceptors.after_sync(action)
             actions.append(action)
         self.cluster.metrics.incr("rma.gsyncs")
@@ -796,7 +792,7 @@ class RmaRuntime:
 
         The copy decouples the action from the caller's buffer: a nonblocking
         operation applied only at flush time, and actions retained by
-        interceptors or the recorder, must keep the values the operation was
+        interceptors, must keep the values the operation was
         issued with even if the caller mutates its array afterwards (the
         stencil passes live window slices, for example).
         """
@@ -890,7 +886,6 @@ class RmaRuntime:
         accrual.nbytes += nbytes
         accrual.kinds[kind.value] += 1
         self.epochs.record_access(action.src, action.trg)
-        self.recorder.record(action)
         return handle
 
     def _suppress_replayed(
@@ -1009,7 +1004,6 @@ class RmaRuntime:
     def _issue_sync(self, action: SyncAction, *, cost: float) -> SyncAction:
         self.interceptors.before_sync(action)
         self.cluster.advance(action.src, cost, kind="comm")
-        self.recorder.record(action)
         self.interceptors.after_sync(action)
         self.cluster.metrics.incr(f"rma.{action.kind.value}", rank=action.src)
         return action

@@ -19,7 +19,7 @@ traffic and asks what each recovery protocol does to the tail.  The layers:
   per-request completion/status records that stay truthful under rollback
   re-execution, replay suppression and degraded excision;
 * :mod:`repro.serve.slo` — :class:`WindowTracker` (checkpoint/recovery
-  window observer) and the segmented SLO reducer: p50/p95/p99, throughput
+  windows, fed by the trace bus) and the segmented SLO reducer: p50/p95/p99, throughput
   and error rate for steady-state vs during-checkpoint vs during-recovery;
 * :mod:`repro.serve.engine` — :class:`ServeSpec` and the drivers: the
   failure-free probe that anchors the arrival clock, the seeded kill plan

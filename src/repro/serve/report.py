@@ -25,6 +25,7 @@ from repro.serve.engine import ServeResult
 from repro.serve.service import STATUSES
 from repro.serve.slo import SEGMENT_RECOVERY, SEGMENT_STEADY, SEGMENTS
 from repro.serve.traffic import READ, WRITE
+from repro.trace.events import event_line, read_jsonl
 
 __all__ = [
     "report_document",
@@ -109,8 +110,7 @@ def write_requests(results: list[ServeResult], path) -> int:
     with open(path, "w") as fh:
         for result in results:
             for row in result.rows:
-                line = dict(row, cell=result.spec.cell_key)
-                fh.write(json.dumps(line, sort_keys=True, separators=(",", ":")))
+                fh.write(event_line(dict(row, cell=result.spec.cell_key)))
                 fh.write("\n")
                 count += 1
     return count
@@ -118,24 +118,13 @@ def write_requests(results: list[ServeResult], path) -> int:
 
 def load_requests(path) -> list[dict]:
     """Read and schema-validate a JSONL request log."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ServeError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if "cell" not in row:
-                raise ServeError(f"{path}:{lineno}: request row missing 'cell'")
-            try:
-                validate_request_row(row)
-            except ServeError as exc:
-                raise ServeError(f"{path}:{lineno}: {exc}") from exc
-            rows.append(row)
-    return rows
+    return read_jsonl(path, _validate_logged_row, ServeError)
+
+
+def _validate_logged_row(row: dict) -> None:
+    if "cell" not in row:
+        raise ServeError("request row missing 'cell'")
+    validate_request_row(row)
 
 
 # ----------------------------------------------------------------------

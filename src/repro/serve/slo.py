@@ -1,8 +1,8 @@
 """SLO accounting: window segmentation and the per-window latency report.
 
-:class:`WindowTracker` is the serving layer's :class:`~repro.api.session.SessionObserver`:
-it collects the **checkpoint windows** (the new ``on_checkpoint`` hook) and
-the **recovery windows** (failure detected → the crash-aborted step completes
+:class:`WindowTracker` is the serving layer's trace-bus subscriber: it
+collects the **checkpoint windows** (``checkpoint_committed`` events) and the
+**recovery windows** (failure detected → the crash-aborted step completes
 again, the same service-restored marker chaos MTTR uses) of one run, plus the
 injector's kill records.  :func:`build_slo_report` then segments every
 request by the window containing its *completion* instant — the moment the
@@ -15,15 +15,8 @@ re-runs and backends.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.api.session import SessionObserver
 from repro.serve.service import STATUS_OK
 from repro.stats import latency_percentiles
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.api.session import Job
-    from repro.ft.inject import FiredKill
 
 __all__ = ["WindowTracker", "SEGMENTS", "build_slo_report"]
 
@@ -34,7 +27,7 @@ SEGMENT_RECOVERY = "recovery"
 SEGMENTS = (SEGMENT_STEADY, SEGMENT_CHECKPOINT, SEGMENT_RECOVERY)
 
 
-class WindowTracker(SessionObserver):
+class WindowTracker:
     """Records the checkpoint/recovery windows of one serving run."""
 
     def __init__(self) -> None:
@@ -45,99 +38,45 @@ class WindowTracker(SessionObserver):
         #: Injector records: one dict per planned kill (fired or skipped).
         self.kills: list[dict] = []
         self.recoveries = 0
-        self._job: Job | None = None
         self._outage: dict | None = None
 
     # ------------------------------------------------------------------
-    def bind(self, job: "Job") -> None:
-        """Attach to ``job``'s cluster for kill timestamps."""
-        self._job = job
-
     def consume(self, event: dict) -> None:
         """Trace-bus subscriber: drive the tracker from a job's tracer.
 
-        The serve engine wires this via ``tracer.subscribe(tracker.consume)``
-        instead of registering the tracker as its own observer/listener
-        stack.  Timestamps come from the events themselves — the tracer
-        stamps the same ``cluster.elapsed()`` the direct hooks read — so the
-        windows and kill records match the pre-bus wiring exactly.  Event
-        types outside the tracker's vocabulary are ignored.
+        Timestamps come from the events themselves — the tracer stamps
+        every one with the job's virtual ``cluster.elapsed()``.  Event types
+        outside the tracker's vocabulary are ignored.
         """
         kind = event["type"]
         t = event["t"]
         if kind == "checkpoint_committed":
-            self.on_checkpoint(
-                event["step"], event["t_start"], event["t_end"], event["demand"]
+            self.checkpoint_windows.append(
+                (event["t_start"], event["t_end"], event["step"], event["demand"])
             )
         elif kind == "failure_detected":
             self.on_failure_detected(event["rank"], event["step"], t)
         elif kind == "recovery_completed":
-            self.on_recovery_completed(event["resume_step"], t)
+            self.recoveries += 1
         elif kind == "step_completed":
             self.on_step_completed(event["step"], t)
-        elif kind == "kill_fired":
-            self._record_kill(
-                t,
-                rank=event["rank"],
-                kind=event["kind"],
-                after_ops=event["after_ops"],
-                victims=list(event["victims"]),
-                skipped=False,
-                real=bool(event.get("rt", {}).get("real", False)),
-            )
-        elif kind == "kill_skipped":
-            self._record_kill(
-                t,
-                rank=event["rank"],
-                kind=event["kind"],
-                after_ops=event["after_ops"],
-                victims=[],
-                skipped=True,
-                real=False,
+        elif kind in ("kill_fired", "kill_skipped"):
+            skipped = kind == "kill_skipped"
+            self.kills.append(
+                {
+                    "t": t,
+                    "rank": event["rank"],
+                    "kind": event["kind"],
+                    "after_ops": event["after_ops"],
+                    "victims": [] if skipped else list(event["victims"]),
+                    "skipped": skipped,
+                    "real": bool(event.get("rt", {}).get("real", False)),
+                }
             )
 
-    def on_kill(self, record: "FiredKill") -> None:
-        """Injector listener: timestamp every planned kill as it resolves."""
-        assert self._job is not None, "tracker used before bind(job)"
-        self._record_kill(
-            self._job.cluster.elapsed(),
-            rank=record.event.rank,
-            kind=record.event.kind.value,
-            after_ops=record.event.after_ops,
-            victims=list(record.victims),
-            skipped=record.skipped,
-            real=record.real,
-        )
-
-    def _record_kill(
-        self,
-        t: float,
-        *,
-        rank: int,
-        kind: str,
-        after_ops: int,
-        victims: list[int],
-        skipped: bool,
-        real: bool,
-    ) -> None:
-        self.kills.append(
-            {
-                "t": t,
-                "rank": rank,
-                "kind": kind,
-                "after_ops": after_ops,
-                "victims": victims,
-                "skipped": skipped,
-                "real": real,
-            }
-        )
-
     # ------------------------------------------------------------------
-    # Session observer hooks
+    # Outage bookkeeping
     # ------------------------------------------------------------------
-    def on_checkpoint(self, step: int, t_start: float, t_end: float, demand: bool) -> None:
-        self.checkpoint_windows.append((t_start, t_end, step, demand))
-
     def on_failure_detected(self, rank: int, step: int, t: float) -> None:
         if self._outage is None:
             self._outage = {"detected_t": t, "crash_step": step}
@@ -146,9 +85,6 @@ class WindowTracker(SessionObserver):
             # service is restored only once the *latest* aborted step
             # completes again.
             self._outage["crash_step"] = max(self._outage["crash_step"], step)
-
-    def on_recovery_completed(self, resume_step: int, t: float) -> None:
-        self.recoveries += 1
 
     def on_step_completed(self, step: int, t: float) -> None:
         outage = self._outage

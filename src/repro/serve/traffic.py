@@ -24,13 +24,13 @@ seeds yield disjoint traces.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ServeError
+from repro.trace.events import event_line
 
 __all__ = ["Request", "RequestGenerator", "trace_lines"]
 
@@ -169,4 +169,4 @@ def trace_lines(requests: list[Request]):
     bit patterns.
     """
     for request in requests:
-        yield json.dumps(request.as_dict(), sort_keys=True, separators=(",", ":"))
+        yield event_line(request.as_dict())

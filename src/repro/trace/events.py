@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.errors import TraceError
 
@@ -167,21 +167,34 @@ def write_trace(events: Iterable[dict], path: str) -> int:
         return writer.count
 
 
-def load_trace(path: str) -> list[dict]:
-    """Load and validate a JSONL trace written by :func:`write_trace`."""
-    events = []
+def read_jsonl(
+    path: str, validate: Callable[[object], None], error: type[Exception]
+) -> list:
+    """Load a JSONL file, one JSON value per non-blank line.
+
+    ``validate`` checks each parsed row and raises ``error`` to reject it;
+    a row that is not valid JSON or fails validation raises ``error`` with
+    a ``path:lineno:`` prefix.  The trace, the chaos event log and the
+    serve request log all read through here.
+    """
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                event = json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise TraceError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                raise error(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             try:
-                validate_event(event)
-            except TraceError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from exc
-            events.append(event)
-    return events
+                validate(row)
+            except error as exc:
+                raise error(f"{path}:{lineno}: {exc}") from exc
+            rows.append(row)
+    return rows
+
+
+def load_trace(path: str) -> list[dict]:
+    """Load and validate a JSONL trace written by :func:`write_trace`."""
+    return read_jsonl(path, validate_event, TraceError)

@@ -18,8 +18,7 @@ byte-identical across the sim, vector and proc backends for the same
 seed; host-specific facts live under the segregated ``rt`` sub-object.
 
 Downstream consumers subscribe to the bus (``tracer.subscribe(fn)``):
-``ChaosMonitor`` and the serve ``WindowTracker`` are driven this way
-instead of registering their own observer/listener stacks.
+``ChaosMonitor`` and the serve ``WindowTracker`` are fed only this way.
 
 A :class:`TraceHub` collects the tracers of a whole multi-job run
 (probe sessions, every comparison cell) into one merged trace file.
@@ -217,6 +216,8 @@ class _TraceInterceptor(RmaInterceptor):
                 kind=action.kind.value,
                 src=action.src,
                 trg=action.trg,
+                structure=action.structure,
+                counters=list(action.counters.as_tuple()),
             )
 
     def on_failure_detected(self, rank: int) -> None:
@@ -232,6 +233,7 @@ class _TraceInterceptor(RmaInterceptor):
 
 
 def _comm_fields(action) -> dict:
+    """The Eq. 2 determinant of ``action`` minus its process-global ``seq``."""
     return {
         "kind": action.kind.value,
         "src": action.src,
@@ -239,6 +241,8 @@ def _comm_fields(action) -> dict:
         "window": action.window,
         "offset": int(action.offset),
         "count": int(action.count),
+        "combine": bool(action.combine),
+        "counters": list(action.counters.as_tuple()),
     }
 
 

@@ -3,7 +3,7 @@
 Covers the epoch semantics of :class:`~repro.rma.handles.OpHandle` (buffers
 materialize only at flush/unlock/gsync), the counter transitions of the
 completion points, the coalescing correctness of the vector backend, and the
-bit-identity of recorded traces between ``SimBackend`` and ``VectorBackend``
+bit-identity of canonical traces between ``SimBackend`` and ``VectorBackend``
 with and without injected failures.
 """
 
@@ -15,6 +15,7 @@ from repro.backends import SimBackend, VectorBackend, make_backend
 from repro.errors import BackendError, EpochError, OpHandleError, WindowError
 from repro.rma import RmaRuntime
 from repro.simulator import Cluster, FailureSchedule
+from repro.trace import Tracer, event_lines
 
 BACKENDS = ["sim", "vector"]
 
@@ -205,20 +206,20 @@ def _stencil_like_kernel(ctx, step):
 
 def _run_traced(backend, failures=None):
     ft = repro.FaultTolerancePolicy(interval=3)
+    tracer = Tracer()
     with repro.launch(
-        4, ft=ft, failures=failures, record=True, sync_each_step=False,
-        backend=backend,
+        4, ft=ft, failures=failures, sync_each_step=False, backend=backend,
+        trace=tracer,
     ) as job:
         job.allocate("w", 8)
         for ctx in job.contexts:
             ctx.local("w")[:] = np.arange(8.0) + ctx.rank
         job.run(_stencil_like_kernel, steps=8)
         field = np.stack([job.local(r, "w").copy() for r in range(4)])
-        # Strip the globally monotonic seq (last element): it differs between
-        # process-wide runs, not between backends within a run.
-        trace = [e.action.determinant()[:-1] for e in job.runtime.recorder.events]
         clocks = [job.runtime.cluster.now(r) for r in range(4)]
-    return field, trace, clocks
+    # Canonical op/sync events carry the Eq. 2 determinant minus the
+    # process-global seq, so equal traces mean equal determinants.
+    return field, event_lines(tracer.events, canonical=True), clocks
 
 
 @pytest.mark.parametrize(
@@ -232,7 +233,7 @@ def test_traces_fields_and_clocks_bit_identical_across_backends(failures):
     schedule = FailureSchedule.ranks(failures) if failures else None
     vector = _run_traced("vector", schedule)
     assert np.array_equal(sim[0], vector[0])  # window contents
-    assert sim[1] == vector[1]  # recorded determinants
+    assert sim[1] == vector[1]  # canonical traces
     assert sim[2] == vector[2]  # per-rank virtual clocks
 
 

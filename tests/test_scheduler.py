@@ -2,8 +2,7 @@
 
 The schedule must be a pure function of (kernel, policy, seed, failure
 schedule): two identical launches produce identical
-:class:`~repro.rma.ordering.OrderRecorder` traces and identical per-rank
-virtual clocks — with and without injected failures.
+canonical traces (:mod:`repro.trace`) and identical per-rank virtual clocks — with and without injected failures.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ import pytest
 
 import repro
 from repro.simulator import FailureSchedule
+from repro.trace import Tracer, event_lines
 
 NPROCS = 6
 N_LOCAL = 8
@@ -37,23 +37,23 @@ def _kernel(ctx: repro.RankContext, step: int):
 
 
 def _run(failure_schedule: FailureSchedule | None):
-    """One recorded run; returns (trace signature, per-rank clocks, field)."""
+    """One traced run; returns (canonical trace, per-rank clocks, field)."""
+    tracer = Tracer()
     with repro.launch(
         NPROCS,
         ft=repro.FaultTolerancePolicy(interval=4, demand_threshold_bytes=4096),
         failures=failure_schedule,
-        record=True,
+        trace=tracer,
     ) as job:
         job.allocate("u", N_LOCAL)
         for ctx in job.contexts:
             ctx.local("u")[:] = np.arange(N_LOCAL) + ctx.rank
         job.run(_kernel, steps=STEPS)
-        # Determinants minus the process-global `seq` counter (it keeps
-        # growing across runs in the same process).
-        trace = [event.action.determinant()[:-1] for event in job.runtime.recorder.events]
         clocks = [job.cluster.now(rank) for rank in range(NPROCS)]
         field = job.gather("u")
-    return trace, clocks, field
+    # Canonical events drop the host-specific ``rt`` sub-object; op and sync
+    # events carry the Eq. 2 determinant minus the process-global ``seq``.
+    return event_lines(tracer.events, canonical=True), clocks, field
 
 
 def _failure_schedule() -> FailureSchedule:
@@ -79,7 +79,7 @@ def test_failure_run_replays_to_the_same_field():
     trace_free, _, field_free = _run(None)
     trace_fail, _, field_fail = _run(_failure_schedule())
     assert np.array_equal(field_free, field_fail)
-    assert len(trace_fail) > len(trace_free)  # replayed actions were recorded
+    assert len(trace_fail) > len(trace_free)  # replayed actions were traced
 
 
 def test_rank_order_is_ascending_within_each_phase():

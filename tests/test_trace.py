@@ -37,6 +37,7 @@ from repro.trace import (
     write_trace,
 )
 from repro.trace.__main__ import main as trace_main
+from repro.trace.events import read_jsonl
 
 pytestmark = pytest.mark.usefixtures("proc_hygiene")
 
@@ -87,6 +88,17 @@ def test_trace_is_byte_identical_across_backends(backend):
     # all made it in.
     types = {event["type"] for event in traced_events(backend)}
     assert {"kill_fired", "recovery_completed", "op_completed"} <= types
+    # Op and sync events carry the Eq. 2 stamps [EC, GC, SC, GNC], so the
+    # byte identity above also covers the counters each backend stamped.
+    stamped = [
+        event for event in traced_events(backend)
+        if event["type"] in ("op_issued", "op_completed", "sync_completed")
+    ]
+    assert {"op_issued", "sync_completed"} <= {event["type"] for event in stamped}
+    for event in stamped:
+        assert len(event["counters"]) == 4
+        assert all(isinstance(value, int) for value in event["counters"])
+    assert any(event["counters"] != [0, 0, 0, 0] for event in stamped)
 
 
 @pytest.mark.skipif(not proc_available(), reason="proc backend unavailable")
@@ -223,6 +235,25 @@ def test_load_trace_reports_the_offending_line(tmp_path):
     )
     with pytest.raises(TraceError, match=r"broken\.jsonl:2"):
         load_trace(str(path))
+
+
+def test_read_jsonl_skips_blank_lines_and_prefixes_the_callers_error(tmp_path):
+    class RowError(Exception):
+        pass
+
+    def validate(row):
+        if "n" not in row:
+            raise RowError("row missing 'n'")
+
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"n":1}\n\n  \n{"n":2}\n')
+    assert read_jsonl(str(path), validate, RowError) == [{"n": 1}, {"n": 2}]
+    path.write_text('{"n":1}\n\n{"m":2}\n')
+    with pytest.raises(RowError, match=r"rows\.jsonl:3: row missing 'n'"):
+        read_jsonl(str(path), validate, RowError)
+    path.write_text("{oops\n")
+    with pytest.raises(RowError, match=r"rows\.jsonl:1: not valid JSON"):
+        read_jsonl(str(path), validate, RowError)
 
 
 def test_aborted_run_publishes_partial_trace_and_no_temp_files(tmp_path):
