@@ -99,7 +99,7 @@ def _run(
         ft=policy,
         failures=schedule,
         sync_each_step=False,
-        backend="vector",
+        backend="sim",
     ) as job:
         job.allocate("u", N_LOCAL + 2)
         x = np.arange(NPROCS * N_LOCAL, dtype=np.float64)

@@ -1,11 +1,11 @@
-"""Hot-path RMA benchmark: eager blocking vs batched nonblocking data plane.
+"""Hot-path RMA benchmark: blocking vs batched nonblocking data plane.
 
 Measures *wall-clock* operations per second of the runtime's two execution
 paths on the communication patterns of the shipped examples:
 
 * ``heat_stencil`` — every rank streams contiguous chunks into its right
   neighbour's window each epoch (a chunked halo exchange).  The nonblocking
-  path lets the vector backend coalesce the whole stream into one numpy
+  path lets the in-process backend coalesce the whole stream into one numpy
   slice write per epoch.
 * ``ring_allreduce`` — every rank issues combining accumulates into its right
   neighbour each epoch.  Atomics cannot be coalesced (each must read its
@@ -27,8 +27,8 @@ Usage::
 
 The regression gate fails (exit 1) when any measured ops/sec regressed by
 more than ``--max-regression`` (default 2x) against the checked-in baseline,
-or when the batched nonblocking path no longer beats the eager blocking path
-on the stencil workload.
+or when the batched nonblocking path no longer beats blocking on the
+in-process backend on the stencil workload.
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ def _bench_mode(
 ) -> tuple[float, np.ndarray]:
     """Time one mode; return (ops_per_sec, final window contents).
 
-    The blocking reference always runs on the eager in-process backend; the
-    nonblocking path runs on ``backend`` (``"vector"`` by default, ``"proc"``
-    to push the stream through real worker processes over shared memory).
+    The blocking reference always runs blocking on the in-process backend;
+    the nonblocking path runs on ``backend`` (``"vector"``, the in-process
+    backend's registry alias, by default; ``"proc"`` to push the stream
+    through real worker processes over shared memory).
     """
     backend = backend if nonblocking else "sim"
     rt = _make_runtime(backend)
@@ -180,9 +181,9 @@ def check_against_baseline(
                     f"slower than baseline {base[key]:.0f} ops/s "
                     f"(allowed {max_regression:.1f}x)"
                 )
-    # The batched-beats-eager invariant is a claim about the in-process
-    # vector backend only; real worker processes pay IPC per batch and are
-    # gated purely by the ops/sec baseline above.
+    # The batched-beats-blocking invariant is a claim about the in-process
+    # backend only; real worker processes pay IPC per batch and are gated
+    # purely by the ops/sec baseline above.
     stencil = report["workloads"].get("heat_stencil", {})
     if (
         report.get("meta", {}).get("backend", "vector") == "vector"
@@ -190,8 +191,8 @@ def check_against_baseline(
         and stencil["speedup"] < 1.0
     ):
         failures.append(
-            f"heat_stencil: batched nonblocking path no longer beats the eager "
-            f"blocking path (speedup {stencil['speedup']:.3f} < 1.0)"
+            f"heat_stencil: batched nonblocking path no longer beats blocking "
+            f"on the in-process backend (speedup {stencil['speedup']:.3f} < 1.0)"
         )
     return failures
 

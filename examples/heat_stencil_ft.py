@@ -145,24 +145,10 @@ def main() -> None:
     assert auto.resolved_interval is not None
     assert np.array_equal(baseline.field, auto.field)
 
-    # The vector backend batches the nonblocking halo puts and applies them as
-    # coalesced writes at the gsync — with and without failures the final
-    # field must match the eager backend bit for bit.
-    for sched, label in ((None, "failure-free"), (schedule, "with failures")):
-        vector = run_stencil(
-            nprocs=nprocs, n_local=n_local, iters=iters,
-            failure_schedule=sched, backend="vector",
-        )
-        reference = baseline if sched is None else recovered
-        identical = np.array_equal(reference.field, vector.field)
-        print(f"vector backend {label}: bit-identical to sim = {identical}")
-        if not identical:
-            raise SystemExit(1)
-
     # Localized (log-based) recovery restores only the failed ranks and
     # replays the put/get log; survivors keep their state.  The final field
-    # must still match the global rollback bit for bit — on every backend and
-    # on every checkpoint store.  Each store has its own cost profile (disk
+    # must still match the global rollback bit for bit — on every checkpoint
+    # store.  Each store has its own cost profile (disk
     # checkpoints are PFS-slow), so the fail-stop time is scaled to a
     # store-specific failure-free makespan to land mid-run everywhere.
     for store in ("memory", "disk", "parity"):
@@ -170,26 +156,23 @@ def main() -> None:
             nprocs=nprocs, n_local=n_local, iters=iters, store=store,
         )
         store_schedule = FailureSchedule.single_rank(3, store_free.elapsed * 0.6)
-        for backend in ("sim", "vector"):
-            rolled = run_stencil(
-                nprocs=nprocs, n_local=n_local, iters=iters,
-                failure_schedule=store_schedule, backend=backend, store=store,
-                recovery="global",
-            )
-            localized = run_stencil(
-                nprocs=nprocs, n_local=n_local, iters=iters,
-                failure_schedule=store_schedule, backend=backend, store=store,
-                recovery="localized",
-            )
-            identical = np.array_equal(rolled.field, localized.field) and (
-                np.array_equal(baseline.field, localized.field)
-            )
-            print(
-                f"localized recovery ({backend}/{store}): bit-identical to "
-                f"global rollback = {identical}"
-            )
-            if not identical:
-                raise SystemExit(1)
+        rolled = run_stencil(
+            nprocs=nprocs, n_local=n_local, iters=iters,
+            failure_schedule=store_schedule, store=store, recovery="global",
+        )
+        localized = run_stencil(
+            nprocs=nprocs, n_local=n_local, iters=iters,
+            failure_schedule=store_schedule, store=store, recovery="localized",
+        )
+        identical = np.array_equal(rolled.field, localized.field) and (
+            np.array_equal(baseline.field, localized.field)
+        )
+        print(
+            f"localized recovery ({store}): bit-identical to "
+            f"global rollback = {identical}"
+        )
+        if not identical:
+            raise SystemExit(1)
 
     # Real processes, real kills: on platforms with fork + POSIX shared
     # memory, the same catalog entry runs with every rank a real OS process

@@ -121,32 +121,19 @@ def main() -> None:
     if not identical:
         raise SystemExit(1)
 
-    # The lock-protected atomics are blocking (they need their fetched
-    # values), which exercises the mixed blocking path on the batching
-    # backend: every backend must produce the same table, failures included.
-    vector = run_kv(
-        nprocs=nprocs, steps=steps, seed=seed,
-        failure_schedule=schedule, backend="vector",
-    )
-    identical = np.array_equal(recovered.table, vector.table)
-    print(f"vector backend with failures: bit-identical to sim = {identical}")
-    if not identical:
-        raise SystemExit(1)
-
     # A failure here usually lands mid-step, with half a batch of blocking
     # lock-protected atomics already committed — the hardest case for
     # log-based recovery: localized replay must suppress exactly the
     # committed prefix (serving the logged fetch results) and re-execute the
-    # rest, finishing bit-identical to the global rollback on every backend.
-    for backend in ("sim", "vector"):
-        localized = run_kv(
-            nprocs=nprocs, steps=steps, seed=seed,
-            failure_schedule=schedule, backend=backend, recovery="localized",
-        )
-        identical = np.array_equal(recovered.table, localized.table)
-        print(f"localized recovery ({backend}): bit-identical to global = {identical}")
-        if not identical:
-            raise SystemExit(1)
+    # rest, finishing bit-identical to the global rollback.
+    localized = run_kv(
+        nprocs=nprocs, steps=steps, seed=seed,
+        failure_schedule=schedule, recovery="localized",
+    )
+    identical = np.array_equal(recovered.table, localized.table)
+    print(f"localized recovery: bit-identical to global = {identical}")
+    if not identical:
+        raise SystemExit(1)
 
     # Real processes, real kills: SIGKILL a real worker mid-run — most
     # offsets land inside a lock-protected atomic batch — and demand the

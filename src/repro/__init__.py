@@ -8,8 +8,7 @@ The package is layered bottom-up:
   orders, nonblocking operation handles) and the
   :class:`~repro.rma.runtime.RmaRuntime` coordination layer;
 * :mod:`repro.backends` — pluggable execution backends owning window storage
-  (eager ``"sim"``, batching ``"vector"``, real-process shared-memory
-  ``"proc"``);
+  (in-process ``"sim"``, real-process shared-memory ``"proc"``);
 * :mod:`repro.ft` — the fault-tolerance protocols built on the runtime
   (topology-aware in-memory checkpointing and recovery);
 * :mod:`repro.api` — the rank-centric session API: :func:`launch` a job,
@@ -43,7 +42,6 @@ from repro.backends import (
     Backend,
     ProcBackend,
     SimBackend,
-    VectorBackend,
     make_backend,
     proc_available,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "OpHandle",
     "Backend",
     "SimBackend",
-    "VectorBackend",
     "ProcBackend",
     "proc_available",
     "make_backend",
@@ -129,4 +126,4 @@ __all__ = [
     "__version__",
 ]
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -712,9 +712,9 @@ def launch(
         superstep boundary where failures are usually observed.  Disable for
         kernels that synchronize explicitly.
     backend:
-        RMA execution backend: ``"sim"`` (default, eager per-op execution),
-        ``"vector"`` (queued nonblocking ops applied as coalesced numpy
-        batches at completion), or a fresh
+        RMA execution backend: ``"sim"`` (default, in process; queued ops
+        applied as coalesced numpy batches at completion), ``"proc"`` (one
+        OS process per rank over shared memory), or a fresh
         :class:`~repro.backends.base.Backend` instance (one per job — a
         backend owns its job's window storage).  Traces, clocks and results
         are bit-identical across backends for every program that observes

@@ -6,20 +6,21 @@ epochs and charges virtual-time costs — but it never touches window memory
 itself.  All storage and data movement belong to a :class:`Backend`:
 
 * :meth:`Backend.issue` receives every communication action (wrapped in an
-  :class:`~repro.rma.handles.OpHandle`) the moment it is issued;
+  :class:`~repro.rma.handles.OpHandle`) the moment it is issued and queues it
+  per origin, in issue order;
 * :meth:`Backend.complete` / :meth:`Backend.complete_rank` are called by the
   runtime's completion points (flush, unlock, flush_all, gsync, and the
-  blocking wrappers) and must return the completed handles in issue order —
-  with every effect applied to the window buffers by the time they return.
+  blocking wrappers); they hand the completing batch to the backend's one
+  apply hook, :meth:`Backend._apply`, and return the handles in issue order
+  — with every effect applied to the window buffers by the time they return.
 
-A backend may execute ops eagerly at issue (:class:`~repro.backends.sim.SimBackend`,
-the historical behavior) or queue them per ``(src, trg)`` epoch and apply them
-in batches at completion (:class:`~repro.backends.vector.VectorBackend`); the
-model permits both because actions within one epoch are unordered (§2.2).
-Whatever the strategy, the *completion stream* — the issue-ordered sequence of
-handles returned from the completion hooks — must be identical across
-backends, which is what keeps fault-tolerance interceptors (who observe that
-stream) and recorded traces bit-identical.
+Deferring every effect to the completion point is always legal because
+actions within one epoch are unordered (§2.2).  It also makes every discard
+effect-free by construction: an operation dropped from the queue never
+touched memory.  The queue is shared by all backends, so the *completion
+stream* — the issue-ordered sequence of handles returned from the completion
+hooks — is identical across them, which is what keeps fault-tolerance
+interceptors (who observe that stream) and recorded traces bit-identical.
 """
 
 from __future__ import annotations
@@ -71,12 +72,14 @@ def apply_action(action: CommAction, win: Window) -> None:
 class Backend(abc.ABC):
     """Owner of window storage and operation execution for one runtime."""
 
-    #: Registry name of the backend ("sim", "vector", ...).
+    #: Registry name of the backend ("sim", "proc", ...).
     name: str = "abstract"
 
     def __init__(self) -> None:
         self.windows = WindowRegistry()
         self.nprocs = 0
+        #: Issued-but-unapplied (handle, window) pairs per origin, issue order.
+        self._queues: dict[int, list[tuple[OpHandle, Window]]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle and window storage
@@ -103,17 +106,6 @@ class Backend(abc.ABC):
     def invalidate_rank(self, rank: int) -> None:
         """A rank failed: its buffers are lost in every window."""
         self.windows.invalidate_rank(rank)
-
-    def set_capture_undo(self, enabled: bool) -> None:
-        """Ask the backend to make :meth:`discard_pending` effect-free.
-
-        Recovery protocols that keep survivor state (localized replay,
-        degraded continuation) require that discarding uncommitted operations
-        leaves window memory exactly as if they were never issued.  A backend
-        that defers all effects to completion time already satisfies this and
-        may ignore the request; an eager backend must capture undo data at
-        issue time while the flag is set.
-        """
 
     def reallocate_rank(self, rank: int) -> None:
         """A replacement process arrived: give it fresh buffers everywhere."""
@@ -158,48 +150,64 @@ class Backend(abc.ABC):
         return "in-process"
 
     # ------------------------------------------------------------------
-    # Operation execution
+    # Operation execution: one per-origin queue, one apply hook
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def issue(self, handle: OpHandle, win: Window) -> None:
-        """Accept one issued operation (apply eagerly or queue it)."""
+    def _apply(self, src: int, batch: list[tuple[OpHandle, Window]]) -> None:
+        """Apply a completing batch of ``src``'s queued ops, in issue order.
 
-    @abc.abstractmethod
+        Raising leaves the batch queued: the queue pops it only after this
+        returns, so recovery's discard still finds (and poisons) the handles
+        of a completion aborted by a failure.
+        """
+
+    def issue(self, handle: OpHandle, win: Window) -> None:
+        """Queue one issued operation; its effect waits for completion."""
+        self._queues.setdefault(handle.action.src, []).append((handle, win))
+
     def complete(self, src: int, trg: int) -> list[OpHandle]:
         """Complete all outstanding ``src -> trg`` operations, in issue order."""
+        queue = self._queues.get(src)
+        if not queue:
+            return []
+        batch = [(h, w) for h, w in queue if h.action.trg == trg]
+        if not batch:
+            return []
+        self._apply(src, batch)
+        self._queues[src] = [(h, w) for h, w in queue if h.action.trg != trg]
+        return [h for h, _ in batch]
 
-    @abc.abstractmethod
     def complete_rank(self, src: int) -> list[OpHandle]:
         """Complete all outstanding operations of ``src``, in issue order."""
+        batch = self._queues.get(src)
+        if not batch:
+            return []
+        self._apply(src, batch)
+        del self._queues[src]
+        return [h for h, _ in batch]
 
-    @abc.abstractmethod
     def pending_ops(self, src: int | None = None) -> int:
         """Outstanding (issued, not completed) operations of ``src`` (or all)."""
+        if src is not None:
+            return len(self._queues.get(src, ()))
+        return sum(len(queue) for queue in self._queues.values())
 
-    @abc.abstractmethod
     def discard_pending(self) -> list[OpHandle]:
         """Drop every outstanding operation without applying it (rollback).
 
-        Returns the discarded handles so the runtime can poison them; a
-        backend that already applied the ops eagerly still discards the
-        *handles* — the rolled-back window contents are restored from the
-        checkpoint by the recovery path.
+        Returns the discarded handles so the runtime can poison them.
         """
+        discarded = [h for queue in self._queues.values() for h, _ in queue]
+        self._queues.clear()
+        return discarded
 
     def discard_rank(self, src: int) -> list[OpHandle]:
         """Drop every outstanding operation of origin ``src``, effect-free.
 
         Used by failure-tolerant delivery modes (:mod:`repro.qos`): a
-        suspended rank's in-flight queue is abandoned without application —
-        an eager backend must roll back what it already applied (the
-        :meth:`set_capture_undo` contract), a deferring backend just drops
-        its queue.  Only called while such a mode is installed; backends
-        that cannot honor it refuse loudly instead of diverging.
+        suspended rank's in-flight queue is abandoned without application.
         """
-        raise BackendError(
-            f"backend {self.name!r} does not support failure-tolerant "
-            f"delivery (discard_rank)"
-        )
+        return [h for h, _ in self._queues.pop(src, ())]
 
     def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[OpHandle]:
         """Drop ``src``'s outstanding operations toward the ranks in ``trgs``.
@@ -210,10 +218,13 @@ class Backend(abc.ABC):
         so the runtime can resolve them through the delivery mode instead.
         Returns the removed handles in issue order.
         """
-        raise BackendError(
-            f"backend {self.name!r} does not support failure-tolerant "
-            f"delivery (discard_targeting)"
-        )
+        queue = self._queues.get(src)
+        if not queue:
+            return []
+        dropped = [h for h, _ in queue if h.action.trg in trgs]
+        if dropped:
+            self._queues[src] = [(h, w) for h, w in queue if h.action.trg not in trgs]
+        return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

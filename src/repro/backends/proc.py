@@ -1,7 +1,7 @@
 """The real-process backend — ranks are OS processes, windows live in shm.
 
-Every other backend executes RMA operations inside the coordinating Python
-process; a simulated failure is just an exception.  :class:`ProcBackend`
+The in-process backend executes RMA operations inside the coordinating
+Python process; a simulated failure is just an exception.  :class:`ProcBackend`
 makes the paper's fail-stop model *physical*:
 
 * window storage is allocated in POSIX shared memory
@@ -13,7 +13,7 @@ makes the paper's fail-stop model *physical*:
   ``src``'s worker at completion time (pickled
   :class:`~repro.rma.actions.CommAction` batches over a pipe) and applied
   there with the *same* :func:`~repro.backends.base.apply_action` the
-  in-process backends use, so per-op semantics cannot drift;
+  in-process backend uses, so per-op semantics cannot drift;
 * the supervisor keeps the control plane — scheduler, runtime, counters,
   interceptors, checkpoint stores — in its own heap.  Checkpoint copies
   therefore survive any worker's death by construction, which is exactly the
@@ -278,8 +278,6 @@ class ProcBackend(Backend):
         super().__init__()
         self.ack_timeout = ack_timeout
         self._ctx = multiprocessing.get_context("fork")
-        #: Issued-but-unapplied (handle, window) pairs per origin, issue order.
-        self._queues: dict[int, list[tuple[OpHandle, Window]]] = {}
         self._workers: dict[int, _Worker] = {}
         #: Worker deaths already reported through poll_failures (cleared on
         #: respawn, so each incarnation is reported at most once).
@@ -433,60 +431,6 @@ class ProcBackend(Backend):
         return f"{state} pending={self.pending_ops(rank)}"
 
     # ------------------------------------------------------------------
-    # Operation execution
-    # ------------------------------------------------------------------
-    def issue(self, handle: OpHandle, win: Window) -> None:
-        self._queues.setdefault(handle.action.src, []).append((handle, win))
-
-    def complete(self, src: int, trg: int) -> list[OpHandle]:
-        queue = self._queues.get(src)
-        if not queue:
-            return []
-        batch = [(h, w) for h, w in queue if h.action.trg == trg]
-        if not batch:
-            return []
-        self._dispatch(src, batch)
-        # Pop only after a successful apply: a dispatch aborted by the
-        # worker's death leaves the queue intact for recovery's discard
-        # (which poisons the handles exactly as on the in-process backends).
-        self._queues[src] = [(h, w) for h, w in queue if h.action.trg != trg]
-        return [h for h, _ in batch]
-
-    def complete_rank(self, src: int) -> list[OpHandle]:
-        batch = self._queues.get(src)
-        if not batch:
-            return []
-        self._dispatch(src, batch)
-        self._queues.pop(src)
-        return [h for h, _ in batch]
-
-    def pending_ops(self, src: int | None = None) -> int:
-        if src is not None:
-            return len(self._queues.get(src, []))
-        return sum(len(queue) for queue in self._queues.values())
-
-    def discard_pending(self) -> list[OpHandle]:
-        discarded = [h for queue in self._queues.values() for h, _ in queue]
-        self._queues.clear()
-        return discarded
-
-    def discard_rank(self, src: int) -> list[OpHandle]:
-        # The queue was never shipped to the (now dead) worker: dropping it
-        # supervisor-side is effect-free by construction.
-        return [h for h, _ in self._queues.pop(src, [])]
-
-    def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[OpHandle]:
-        queue = self._queues.get(src)
-        if not queue:
-            return []
-        dropped = [h for h, _ in queue if h.action.trg in trgs]
-        if dropped:
-            self._queues[src] = [
-                (h, w) for h, w in queue if h.action.trg not in trgs
-            ]
-        return dropped
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _spawn(self, rank: int) -> _Worker:
@@ -536,7 +480,7 @@ class ProcBackend(Backend):
         if worker is not None:
             worker.process.join(timeout=0)  # reap the zombie
 
-    def _dispatch(self, src: int, batch: list[tuple[OpHandle, Window]]) -> None:
+    def _apply(self, src: int, batch: list[tuple[OpHandle, Window]]) -> None:
         """Ship a batch to ``src``'s worker and fold its results back.
 
         Raises :class:`~repro.errors.ProcessFailedError` — with the canonical

@@ -1,23 +1,19 @@
-"""The eager simulator backend — applies write effects at issue time.
+"""The in-process backend — applies queued ops as coalesced batches.
 
-This is the historical execution strategy of the runtime, factored out behind
-the :class:`~repro.backends.base.Backend` protocol: every put-like action is
-executed against the window buffers the moment it is issued, so writes are
-visible to direct buffer reads immediately.  Pure *gets* read at completion
-time instead — the same moment every other backend reads — so a ``get_nb``
-buffer observes the target exactly as it stands when the epoch closes, on
-every backend alike.  Completion (handle state, interceptor ``after_comm``)
-is likewise deferred to the runtime's completion points, which is what makes
-the completion stream identical to batching backends.
+Operations queue per origin in the shared :class:`~repro.backends.base.Backend`
+queue and are applied only when the runtime completes the epoch (flush,
+unlock, gsync, or a blocking wrapper).  At completion time the batch is
+*coalesced*: maximal runs of plain puts that write contiguous ranges of the
+same target's window collapse into a single numpy slice assignment, so a halo
+exchange or a chunked stream of small puts costs one vectorized write instead
+of one bounds-checked write per message — the batching that makes the
+nonblocking path measurably faster than blocking per-op completion
+(``benchmarks/bench_rma.py``).
 
-Eager execution means discarded (issued-but-uncompleted) operations have
-already touched memory.  A coordinated rollback does not care — the restore
-overwrites everything — but recovery protocols that keep survivor state
-(localized replay, degraded continuation) do: when
-:meth:`~repro.backends.base.Backend.set_capture_undo` is enabled, the backend
-snapshots the overwritten range of every put-like action at issue time and
-:meth:`discard_pending` rolls those writes back in reverse issue order, so a
-discard is effect-free exactly as it is on a deferring backend.
+Correctness note: within one epoch the model imposes no order between actions
+(§2.2), but the batch is still applied in issue order — overlapping puts and
+atomics land exactly as the real-process backend lands them, and gets read at
+the same completion point on every backend.
 """
 
 from __future__ import annotations
@@ -33,88 +29,39 @@ __all__ = ["SimBackend"]
 
 
 class SimBackend(Backend):
-    """Eager execution: writes happen at issue, one op at a time."""
+    """Deferred in-process execution: coalesced batch apply at completion."""
 
     name = "sim"
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Issued-but-not-completed (handle, window, undo) triples per origin;
-        #: write effects are already applied, pure gets read at completion.
-        #: ``undo`` is the overwritten range (or ``None`` when capture is off).
-        self._pending: dict[int, list[tuple[OpHandle, Window, np.ndarray | None]]] = {}
-        self._capture_undo = False
-
-    # ------------------------------------------------------------------
-    def set_capture_undo(self, enabled: bool) -> None:
-        self._capture_undo = enabled
-
-    def issue(self, handle: OpHandle, win: Window) -> None:
-        action = handle.action
-        undo: np.ndarray | None = None
-        if action.kind is not OpKind.GET:
-            if self._capture_undo and action.kind.is_put_like:
-                undo = win.read(action.trg, action.offset, action.count)
-            apply_action(action, win)
-        self._pending.setdefault(action.src, []).append((handle, win, undo))
-
-    def complete(self, src: int, trg: int) -> list[OpHandle]:
-        queue = self._pending.get(src)
-        if not queue:
-            return []
-        done = [entry for entry in queue if entry[0].action.trg == trg]
-        if done:
-            self._pending[src] = [e for e in queue if e[0].action.trg != trg]
-        return self._finish(done)
-
-    def complete_rank(self, src: int) -> list[OpHandle]:
-        return self._finish(self._pending.pop(src, []))
-
-    def pending_ops(self, src: int | None = None) -> int:
-        if src is not None:
-            return len(self._pending.get(src, []))
-        return sum(len(queue) for queue in self._pending.values())
-
-    def discard_pending(self) -> list[OpHandle]:
-        entries = [entry for queue in self._pending.values() for entry in queue]
-        self._pending.clear()
-        return self._unwind(entries)
-
-    def discard_rank(self, src: int) -> list[OpHandle]:
-        return self._unwind(self._pending.pop(src, []))
-
-    def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[OpHandle]:
-        queue = self._pending.get(src)
-        if not queue:
-            return []
-        dropped = [e for e in queue if e[0].action.trg in trgs]
-        if dropped:
-            self._pending[src] = [e for e in queue if e[0].action.trg not in trgs]
-        return self._unwind(dropped)
-
-    @staticmethod
-    def _unwind(
-        entries: list[tuple[OpHandle, Window, np.ndarray | None]]
-    ) -> list[OpHandle]:
-        """Roll back eagerly-applied effects of dropped entries, in issue order.
-
-        Undo newest-first so overlapping ranges land back on their pre-issue
-        contents.  Invalidated (failed) targets are skipped: their memory is
-        lost and will be restored from a checkpoint (or stays zeroed under a
-        best-effort delivery mode).
-        """
-        for handle, win, undo in sorted(
-            entries, key=lambda e: e[0].action.seq, reverse=True
-        ):
-            if undo is not None and not win.is_invalidated(handle.action.trg):
-                win.write(handle.action.trg, handle.action.offset, undo)
-        return [handle for handle, _, _ in entries]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _finish(batch: list[tuple[OpHandle, Window, np.ndarray | None]]) -> list[OpHandle]:
-        """Perform the deferred reads of pure gets; return handles in issue order."""
-        for handle, win, _ in batch:
-            if handle.action.kind is OpKind.GET:
-                apply_action(handle.action, win)
-        return [handle for handle, _, _ in batch]
+    def _apply(self, src: int, batch: list[tuple[OpHandle, Window]]) -> None:
+        """Apply a queued batch in issue order, coalescing contiguous puts."""
+        i = 0
+        n = len(batch)
+        while i < n:
+            handle, win = batch[i]
+            action = handle.action
+            if action.kind is not OpKind.PUT:
+                apply_action(action, win)
+                i += 1
+                continue
+            # Grow a maximal run of puts writing back-to-back ranges of the
+            # same target's window.
+            j = i + 1
+            end = action.offset + action.count
+            while j < n:
+                nxt, nxt_win = batch[j]
+                if (
+                    nxt.action.kind is not OpKind.PUT
+                    or nxt_win is not win
+                    or nxt.action.trg != action.trg
+                    or nxt.action.offset != end
+                ):
+                    break
+                end += nxt.action.count
+                j += 1
+            if j - i == 1:
+                win.write(action.trg, action.offset, action.data)
+            else:
+                payload = np.concatenate([batch[k][0].action.data for k in range(i, j)])
+                win.write(action.trg, action.offset, payload)
+            i = j

@@ -26,7 +26,7 @@ ship:
   far-away placement cost every time.
 
 Stores are resolved by name through :data:`STORES` (the same convention as
-``backend="sim"|"vector"``) and are orthogonal to the
+``backend="sim"|"proc"``) and are orthogonal to the
 :class:`~repro.ft.protocols.RecoveryProtocol` restoring from them.
 """
 

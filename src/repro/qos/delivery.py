@@ -23,7 +23,7 @@ quality instead of paying the stall.
 
 Determinism contract: whether a given operation drops or serves stale data is
 a pure function of ``(seed, GNC epoch, per-rank tolerated-op index)`` — all
-three identical across the sim/vector/proc backends because the suspended set
+three identical across the sim and proc backends because the suspended set
 changes only at injector-controlled completion-stream positions.  Every
 tolerated operation is counted in per-rank :class:`QosMetrics`, which is what
 the quality/robustness/speed comparison (:mod:`repro.qos.engine`) reports.
@@ -172,10 +172,6 @@ class DeliveryMode(abc.ABC):
     #: Whether failed ranks are suspended (tolerated) instead of fatal.
     tolerates_failures: bool = False
 
-    #: Whether the backend must capture undo data so in-flight operations
-    #: toward a freshly-failed rank can be discarded effect-free.
-    needs_clean_discard: bool = False
-
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self.metrics = QosMetrics()
@@ -274,14 +270,13 @@ class BestEffort(DeliveryMode):
     Gets deterministically either drop — the origin observes zeros — or are
     served *stale* from the newest checkpoint copy of the target's window;
     the choice hashes ``(seed, GNC, tolerated-op index)`` through crc32, the
-    library's seeded-entropy convention, so sim/vector/proc agree bit-for-bit.
+    library's seeded-entropy convention, so sim and proc agree bit-for-bit.
     ``stale_fraction`` is the probability mass given to stale service (the
     rest drops); with no usable checkpoint copy a would-be stale read drops.
     """
 
     name = "best_effort"
     tolerates_failures = True
-    needs_clean_discard = True
 
     def __init__(self, seed: int = 0, stale_fraction: float = 0.5) -> None:
         super().__init__(seed)

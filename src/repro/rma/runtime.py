@@ -166,7 +166,7 @@ class RmaRuntime:
 
         Backend-independent at every point of the program: the failed set
         only changes at injector-controlled completion-stream positions,
-        which are identical across sim/vector/proc by construction.
+        which are identical across sim/proc by construction.
         """
         delivery = self.delivery
         if delivery is None or not delivery.tolerates_failures:
@@ -470,10 +470,12 @@ class RmaRuntime:
             raise RankSuspendedError(src)
         self.cluster.ensure_alive(src)
         # Completing towards a dead target must fail *before* any effect is
-        # applied, on every backend alike — an eager backend already wrote the
-        # bytes, a batching one has not, so the liveness check (not the apply)
-        # has to be the common failure point.  Suspended targets are exempt:
-        # their in-flight operations resolve through the delivery mode.
+        # applied, on every backend alike — the in-process apply would raise
+        # only on reaching the dead target's invalidated buffer, after earlier
+        # ops of the batch landed, and a proc worker writes a dead rank's slab
+        # without noticing — so the liveness check (not the apply) has to be
+        # the common failure point.  Suspended targets are exempt: their
+        # in-flight operations resolve through the delivery mode.
         for trg in self._accrued[src]:
             if trg not in suspended:
                 self.cluster.ensure_alive(trg)
@@ -655,11 +657,13 @@ class RmaRuntime:
 
         Called by the session immediately before *repairing* suspended ranks
         (:mod:`repro.qos`): an operation still queued toward a rank about to
-        be respawned-and-restored would otherwise apply after the restore on
-        deferring backends but before it on the eager one, breaking backend
-        identity.  Survivor operations toward the suspended ranks resolve
-        through the delivery mode (drop/stale, same deterministic hash as
-        post-failure issues); the suspended ranks' own queues are abandoned.
+        be respawned-and-restored would otherwise land on top of the restored
+        checkpoint at its origin's next completion point, so the repaired
+        state would depend on that completion's timing instead of on the
+        delivery mode's decision.  Survivor operations toward the suspended
+        ranks resolve through the delivery mode (drop/stale, same
+        deterministic hash as post-failure issues); the suspended ranks' own
+        queues are abandoned.
         """
         suspended = self.suspended_ranks()
         if not suspended:

@@ -4,7 +4,7 @@ The paper evaluates its protocols on concrete applications (§7); this module
 promotes the three example kernels of the repository into first-class,
 parameterizable workloads so the study engine (:mod:`repro.study.campaign`)
 — and any script — can resolve them by name, exactly like
-``backend="sim"|"vector"``, ``store=...`` and ``recovery=...``:
+``backend="sim"|"proc"``, ``store=...`` and ``recovery=...``:
 
 * ``"stencil"`` — the 1-D Jacobi heat stencil (nonblocking halo exchange, a
   mid-step ``gsync``);

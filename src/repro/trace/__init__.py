@@ -4,8 +4,8 @@ The observability layer of the reproduction: every seam the stack
 already exposes (RMA interceptors, session observers, injector
 listeners, store placement hooks, delivery-mode decisions, serve
 request lifecycles) feeds a single :class:`Tracer` whose events are
-stamped in virtual time — byte-identical across the sim, vector and
-proc backends and across serial/thread executors, with host-specific
+stamped in virtual time — byte-identical across the sim and proc
+backends and across serial/thread executors, with host-specific
 facts segregated under ``rt``.  On top of the bus sit canonical JSONL
 persistence, span rollups (:func:`summarize`), first-divergence
 localization (:func:`first_divergence`), a Chrome-trace export and the

@@ -8,7 +8,7 @@ plus an optional ``"rt"`` sub-object that segregates everything tied to
 the host rather than the schedule — wall-clock seconds, whether a kill
 used a real SIGKILL, which backend executed the run.  Identity between
 two traces is defined on :func:`canonical_event` (the event *minus*
-``rt``), so traces from the sim, vector and proc backends of the same
+``rt``), so traces from the sim and proc backends of the same
 seeded run compare byte-identical while still recording how long the
 host actually took.  This is the same real/virtual segregation the chaos
 event log uses (:mod:`repro.chaos.metrics`).

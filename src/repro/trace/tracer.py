@@ -14,7 +14,7 @@ plugs into every existing seam at once —
 — and emits schema-validated events stamped with ``cluster.elapsed()``.
 Because every seam fires at runtime level (before backend-specific cost
 accounting diverges in wall time), the resulting event stream is
-byte-identical across the sim, vector and proc backends for the same
+byte-identical across the sim and proc backends for the same
 seed; host-specific facts live under the segregated ``rt`` sub-object.
 
 Downstream consumers subscribe to the bus (``tracer.subscribe(fn)``):

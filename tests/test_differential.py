@@ -11,7 +11,7 @@ re-execution) must then agree bit for bit.
 
 Also here: the NODE_KILL taxonomy, the cross-backend regression test pinning
 failure *surfacing* (exception types, messages, poisoned-handle behaviour) to
-be identical on ``sim``, ``vector`` and ``proc``, and the ``Job.run``
+be identical on ``sim`` and ``proc``, and the ``Job.run``
 watchdog.  Proc cells auto-skip on platforms without fork + POSIX shm.
 """
 
@@ -55,7 +55,7 @@ RECOVERIES = ["global", "localized"]
 PROC_SKIP = pytest.mark.skipif(
     not proc_available(), reason="proc backend needs fork + POSIX shared memory"
 )
-BACKENDS = ["sim", "vector", pytest.param("proc", marks=PROC_SKIP)]
+BACKENDS = ["sim", pytest.param("proc", marks=PROC_SKIP)]
 
 
 def _killed_run(name, backend, store, recovery):
@@ -112,9 +112,7 @@ def test_killed_run_matches_exception_injected_oracle(name, store, recovery, bac
     assert run.report.localized_recoveries == oracle.report.localized_recoveries
 
 
-@pytest.mark.parametrize(
-    "backend", ["vector", pytest.param("proc", marks=PROC_SKIP)]
-)
+@pytest.mark.parametrize("backend", [pytest.param("proc", marks=PROC_SKIP)])
 def test_killed_run_trace_matches_sim_event_for_event(backend):
     """Stronger than digest parity: the *whole* canonical event stream agrees.
 
@@ -195,7 +193,6 @@ def test_failure_surfacing_is_identical_across_backends():
     reference = _failure_surface("sim")
     assert reference[0] == "ProcessFailedError"
     assert "fail-stop" in reference[1]
-    assert _failure_surface("vector") == reference
     if proc_available():
         assert _failure_surface("proc") == reference
 

@@ -6,6 +6,7 @@ import pytest
 import repro
 from heat_stencil_ft import run_stencil
 from kv_update_ft import run_kv
+from repro.backends import proc_available
 from repro.errors import CatastrophicFailure, RecoveryError
 from repro.ft import (
     ContinueDegraded,
@@ -17,6 +18,11 @@ from repro.ft import (
 from repro.rma import RmaRuntime
 from repro.simulator import Cluster, FailureSchedule
 from ring_allreduce_ft import run_allreduce
+
+PROC_SKIP = pytest.mark.skipif(
+    not proc_available(), reason="proc backend needs fork + POSIX shared memory"
+)
+BACKENDS = ["sim", pytest.param("proc", marks=PROC_SKIP)]
 
 
 def _runtime(nprocs=8, procs_per_node=2, schedule=None, backend=None):
@@ -45,7 +51,8 @@ def test_make_protocol_resolves_names_and_instances():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["sim", "vector"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("proc_hygiene")
 def test_stencil_localized_replay_bit_identical(backend):
     baseline = run_stencil(nprocs=8, n_local=8, iters=24, ckpt_interval=6)
     schedule = FailureSchedule.single_rank(3, baseline.elapsed * 0.55)
@@ -62,7 +69,8 @@ def test_stencil_localized_replay_bit_identical(backend):
     assert np.array_equal(baseline.field, localized.field)
 
 
-@pytest.mark.parametrize("backend", ["sim", "vector"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("proc_hygiene")
 def test_allreduce_localized_replay_bit_identical(backend):
     # Combining accumulates: the M-flag case a naive log re-application
     # would double-apply on survivors.
@@ -81,7 +89,8 @@ def test_allreduce_localized_replay_bit_identical(backend):
     assert np.array_equal(baseline.vectors, localized.vectors)
 
 
-@pytest.mark.parametrize("backend", ["sim", "vector"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("proc_hygiene")
 def test_kv_localized_replay_bit_identical(backend):
     # Blocking lock-protected atomics complete mid-step: the crash leaves a
     # partially-committed batch the replay must suppress exactly.
@@ -196,7 +205,8 @@ def test_localized_with_disk_store_survives_rank_and_buddy_loss():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["sim", "vector"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("proc_hygiene")
 def test_degraded_stencil_finishes_with_excised_ranks(backend):
     baseline = run_stencil(nprocs=8, n_local=8, iters=24, ckpt_interval=6)
     schedule = FailureSchedule.single_rank(3, baseline.elapsed * 0.5)

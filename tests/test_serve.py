@@ -218,7 +218,7 @@ def test_build_plan_excludes_comparison_axes():
     base = quick_spec()
     plans = [
         build_plan(replace(base, backend=b, recovery=r), ops_total=4000)
-        for b in ("sim", "vector")
+        for b in ("sim", "proc")
         for r in ("global", "localized", "degraded")
     ]
     reference = [(e.after_ops, e.rank, e.kind) for e in plans[0].events]

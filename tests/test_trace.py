@@ -4,7 +4,7 @@ The headline property mirrors the differential harness: because every
 instrumentation seam fires at runtime level — before backend-specific
 wall-time accounting diverges — the canonical trace (events minus the
 segregated ``rt`` sub-object) of an identically-seeded run is
-**byte-identical** across the sim, vector and proc backends, and across
+**byte-identical** across the sim and proc backends, and across
 serial vs thread executors when runs flow through a :class:`TraceHub`.
 Everything host-specific (wall seconds, real-SIGKILL flags, backend
 names) lives under ``rt`` and is excluded from identity.
@@ -77,9 +77,7 @@ def traced_events(backend):
 # ---------------------------------------------------------------------------
 # Determinism: backends and executors
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "backend", ["vector", pytest.param("proc", marks=PROC_SKIP)]
-)
+@pytest.mark.parametrize("backend", [pytest.param("proc", marks=PROC_SKIP)])
 def test_trace_is_byte_identical_across_backends(backend):
     reference = event_lines(traced_events("sim"), canonical=True)
     other = event_lines(traced_events(backend), canonical=True)
